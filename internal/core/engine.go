@@ -171,8 +171,9 @@ func (e *engine) run() ([]Ranked, error) {
 	tranSubsets := e.featureSubsets()
 
 	// Fan the transformation-feature subsets across workers; the engine is
-	// read-only during candidate generation, and the fingerprint-dedup +
-	// total-order sort below make the outcome independent of scheduling.
+	// read-only during candidate generation. Each subset's candidates land
+	// in its own slot and are merged below in subset order, so the outcome
+	// is independent of scheduling and of the worker count.
 	workers := e.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -183,62 +184,62 @@ func (e *engine) run() ([]Ranked, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	type unit struct {
-		ranked []Ranked
-		err    error
-	}
-	jobs := make(chan []model.Feature)
-	results := make(chan unit)
-	done := make(chan struct{}) // closed on first worker error: stop feeding
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Each worker owns one Evaluator (scratch buffers are per-worker;
-		// the compiled-atom cache is shared across all of them).
+	// Each worker owns one Evaluator (scratch buffers are per-worker; the
+	// compiled-atom cache is shared across all of them).
+	evs := make([]*score.Evaluator, workers)
+	for w := range evs {
 		ev, err := score.NewEvaluator(e.a.Source, e.newVals, e.changed, e.opts.Alpha, e.opts.Weights)
 		if err != nil {
 			return nil, err
 		}
 		ev.SetCache(e.pcache)
+		evs[w] = ev
+	}
+	units := make([][]Ranked, len(tranSubsets))
+	errs := make([]error, len(tranSubsets))
+	jobs := make(chan int)
+	failed := make(chan struct{}) // closed on the first worker error: stop feeding
+	var failOnce sync.Once
+	var wg sync.WaitGroup
+	for _, ev := range evs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for T := range jobs {
-				ranked, err := e.evalFeatureSet(T, condSubsets, ev)
-				results <- unit{ranked: ranked, err: err}
+			for i := range jobs {
+				units[i], errs[i] = e.evalFeatureSet(tranSubsets[i], condSubsets, ev)
+				if errs[i] != nil {
+					failOnce.Do(func() { close(failed) })
+				}
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for _, T := range tranSubsets {
-			select {
-			case jobs <- T:
-			case <-done:
-				return // a worker failed; don't evaluate the remaining subsets
-			}
+feed:
+	for i := range tranSubsets {
+		select {
+		case jobs <- i:
+		case <-failed:
+			break feed // don't evaluate the remaining subsets
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+	}
+	close(jobs)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
+	// Candidates that share a fingerprint and a score tie; the first in
+	// (transformation subset, condition subset, k) order wins, which is the
+	// order a one-worker run visits them in.
 	best := map[string]Ranked{} // fingerprint -> best-scoring instance
-	var firstErr error
-	for u := range results {
-		if u.err != nil && firstErr == nil {
-			firstErr = u.err
-			close(done)
-		}
-		for _, r := range u.ranked {
+	for _, unit := range units {
+		for _, r := range unit {
 			fp := r.Summary.Fingerprint()
 			if cur, ok := best[fp]; !ok || r.Breakdown.Score > cur.Breakdown.Score {
 				best[fp] = r
 			}
 		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	ranked := make([]Ranked, 0, len(best))

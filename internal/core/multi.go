@@ -35,15 +35,15 @@ func SummarizeAll(src, tgt *table.Table, base Options) (*MultiResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SummarizeAllWith(ctx, base)
+	return SummarizeAllWith(a, base, ctx.Summarize)
 }
 
-// SummarizeAllWith is SummarizeAll over a prepared PairContext, for callers
-// that align (and amortize) themselves — the timeline layer builds one
-// context per consecutive snapshot pair and runs every changed attribute
-// through it.
-func SummarizeAllWith(ctx *PairContext, base Options) (*MultiResult, error) {
-	a := ctx.Aligned()
+// SummarizeAllWith is SummarizeAll over an aligned pair with a caller-chosen
+// engine run: it picks the targets and their options, and run produces each
+// target's ranking. SummarizeAll passes a PairContext's Summarize; the
+// timeline layer passes a memoized run that builds the pair's context only
+// when some target is not remembered.
+func SummarizeAllWith(a *diff.Aligned, base Options, run func(Options) ([]Ranked, error)) (*MultiResult, error) {
 	tol := base.ChangeTol
 	if tol == 0 {
 		tol = 1e-9
@@ -72,7 +72,7 @@ func SummarizeAllWith(ctx *PairContext, base Options) (*MultiResult, error) {
 		if len(base.CondAttrs) == 0 {
 			opts.CondAttrs = nil
 		}
-		ranked, err := ctx.Summarize(opts)
+		ranked, err := run(opts)
 		if err != nil {
 			return nil, err
 		}

@@ -73,7 +73,7 @@ func TestPairContextSharesAccelAcrossTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SummarizeAllWith(ctx, DefaultOptions("ignored"))
+	res, err := SummarizeAllWith(a, DefaultOptions("ignored"), ctx.Summarize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,11 +99,13 @@ type Options struct {
 	// Workers bounds the goroutines evaluating candidate (C, T, k)
 	// combinations; 0 uses GOMAXPROCS. The search is embarrassingly
 	// parallel over transformation-feature subsets, and results are
-	// identical regardless of worker count (candidates are deduplicated by
-	// fingerprint and ranked with total-order tie-breaks). The timeline
-	// layer (history.SummarizeAll) reuses the same knob to bound its
-	// per-step worker pool, collapsing each engine run to one worker when
-	// the step pool is parallel so total concurrency stays at the bound.
+	// identical, summary for summary, regardless of worker count:
+	// candidates are merged in subset order, so of two that tie on
+	// fingerprint and score the first in (T, C, k) order wins, and the
+	// ranking sorts with total-order tie-breaks. The timeline layer
+	// (history.SummarizeAll) reuses the same knob to bound its per-step
+	// worker pool, giving each engine run one worker when the step pool is
+	// parallel so total concurrency stays at the bound.
 	Workers int
 }
 
@@ -127,9 +129,10 @@ func DefaultOptions(target string) Options {
 
 // Fingerprint returns a deterministic digest of every option that can
 // influence a Summarize result. Two Options values with equal fingerprints
-// produce identical rankings over the same snapshot pair (the engine is
-// deterministic given Seed and independent of Workers), which makes the
-// fingerprint a sound component of result-cache keys.
+// produce identical rankings over the same snapshot pair, down to the tie
+// order and provenance of every summary (the engine is deterministic given
+// Seed and independent of Workers), which makes the fingerprint a sound
+// component of result-cache keys.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
 	// Workers is deliberately excluded: results are identical regardless of

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,6 +90,13 @@ type MultiTimeline struct {
 	Steps int
 }
 
+// Memo supplies the engine run of one (step, target) cell of a walk: given
+// step i (snapshots[i] → snapshots[i+1]) and the target's engine options, it
+// returns a remembered ranking or calls run, whose result it may remember.
+// run must be called, if at all, before the memo returns. A nil Memo always
+// calls run.
+type Memo func(i int, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error)
+
 // SummarizeAll summarizes an entire version chain across all changed numeric
 // attributes: each consecutive snapshot pair is aligned exactly once, every
 // changed attribute of the pair runs through one shared core.PairContext
@@ -101,7 +109,7 @@ type MultiTimeline struct {
 //
 // The result is bit-identical to the sequential per-pair, per-target loop —
 // steps are independent and merged in step order, and the engine itself is
-// deterministic and scheduling-independent.
+// deterministic and independent of its worker count.
 func SummarizeAll(snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
 	return SummarizeAllContext(context.Background(), snapshots, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeAllContext
 }
@@ -111,19 +119,85 @@ func SummarizeAll(snapshots []*table.Table, base core.Options) (*MultiTimeline, 
 // context's error. Steps already running finish their current engine pass
 // (the engine itself is not preemptible) before the pool drains.
 func SummarizeAllContext(ctx context.Context, snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
+	return Walk(ctx, snapshots, "", base, nil)
+}
+
+// SummarizeTarget summarizes one attribute across the chain on the same
+// bounded step pool as SummarizeAll, skipping the engine entirely on steps
+// where the target did not move. Results are bit-identical to Summarize
+// (the sequential single-target path) except that unchanged steps carry no
+// Ranked entry at all rather than the engine's explicit no-change result.
+func SummarizeTarget(snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
+	return SummarizeTargetContext(context.Background(), snapshots, target, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeTargetContext
+}
+
+// SummarizeTargetContext is SummarizeTarget bounded by ctx (see
+// SummarizeAllContext for the cancellation semantics).
+func SummarizeTargetContext(ctx context.Context, snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
+	if target == "" {
+		// Walk reads an empty target as "every attribute".
+		return nil, fmt.Errorf("history: unknown target attribute %q", target)
+	}
+	mt, err := Walk(ctx, snapshots, target, base, nil)
+	if err != nil {
+		return nil, err
+	}
+	return mt.Timelines[target], nil
+}
+
+// Walk is the one step loop behind every timeline: it summarizes each
+// consecutive pair of snapshots — every changed numeric attribute, or only
+// target when it is non-empty — on SummarizeAll's step pool bounded by
+// base.Workers, and routes every (step, target) engine run through memo
+// (nil runs the engine directly). A step aligns its pair once
+// and builds the pair's PairContext on its first engine run, so a step the
+// memo answers entirely builds none. A target that did not move on a step
+// is marked NoChange there without an engine run.
+//
+// A non-empty target must be a numeric, non-key attribute: a misspelled,
+// categorical or key attribute never moves as a numeric target, and must
+// not read as a plausible all-no-change timeline.
+func Walk(ctx context.Context, snapshots []*table.Table, target string, base core.Options, memo Memo) (*MultiTimeline, error) {
+	results, err := walk(ctx, snapshots, target, base, memo)
+	if err != nil {
+		return nil, err
+	}
+	return mergeSteps(snapshots[0], target, results), nil
+}
+
+// walk runs Walk's step loop and returns the per-step results unmerged (the
+// maintainer keeps them to extend later).
+func walk(ctx context.Context, snapshots []*table.Table, target string, base core.Options, memo Memo) ([]*core.MultiResult, error) {
 	if len(snapshots) < 2 {
 		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
 	}
-	steps := len(snapshots) - 1
-	results := make([]*core.MultiResult, steps)
-	if err := forEachStep(ctx, steps, base.Workers, func(i int, engineBase core.Options) error {
+	if target != "" {
+		if err := checkTarget(snapshots[0], target); err != nil {
+			return nil, err
+		}
+	}
+	results := make([]*core.MultiResult, len(snapshots)-1)
+	if err := forEachStep(ctx, len(results), base, func(i int, engineBase core.Options) error {
 		var err error
-		results[i], err = summarizeStep(snapshots[i], snapshots[i+1], engineBase)
+		results[i], err = summarizeStep(i, snapshots[i], snapshots[i+1], target, engineBase, memo)
 		return err
-	}, base); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return mergeSteps(snapshots[0], results), nil
+	return results, nil
+}
+
+// checkTarget validates an explicit timeline target against the chain's
+// first snapshot (the serve layer answers the same errors with a 400).
+func checkTarget(first *table.Table, target string) error {
+	col, err := first.Column(target)
+	if err != nil || slices.Contains(first.Key(), target) {
+		return fmt.Errorf("history: unknown target attribute %q", target)
+	}
+	if !col.Type.Numeric() {
+		return fmt.Errorf("history: target attribute %q is not numeric (categorical changes cannot be summarized)", target)
+	}
+	return nil
 }
 
 // CheckoutSource abstracts a version store that can materialize stored
@@ -181,43 +255,53 @@ func MaterializeChain(src CheckoutSource, ids []string) ([]*table.Table, error) 
 // checks for cancellation before each version, so a caller abandoning a
 // long chain stops paying for checkouts it will never read.
 func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []string) ([]*table.Table, error) {
-	ds, _ := src.(DeltaSource)
-	cc, _ := src.(CachedCheckoutSource)
-	sa, _ := src.(SnapshotAdmitter)
 	out := make([]*table.Table, len(ids))
+	var prevID string
+	var prev *table.Table
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if cc != nil {
-			if t, ok := cc.CheckoutCached(id); ok {
-				out[i] = t
-				continue
-			}
+		t, err := MaterializeStep(src, prevID, prev, id)
+		if err != nil {
+			return nil, err
 		}
-		if i > 0 && ds != nil {
-			if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == ids[i-1] {
-				if t, err := diff.ApplyChangeSet(out[i-1], cs); err == nil {
-					// Applied tables carry the same tamper-evidence as
-					// checkouts: verify against the content id before
-					// trusting them (a failure falls through to Checkout,
-					// which verifies the raw bytes itself), and admit the
-					// verified table into the source's cache so the next
-					// walk takes the warm clone path.
-					if sa == nil || sa.AdmitSnapshot(id, t) == nil {
-						out[i] = t
-						continue
-					}
+		out[i], prevID, prev = t, id, t
+	}
+	return out, nil
+}
+
+// MaterializeStep materializes one version delta-natively when possible:
+// the cached-table path first, then applying id's ChangeSet to prev (the
+// already materialized snapshot of prevID, id's parent; nil at a chain
+// root), then a plain checkout.
+func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
+	if cc, ok := src.(CachedCheckoutSource); ok {
+		if t, ok := cc.CheckoutCached(id); ok {
+			return t, nil
+		}
+	}
+	if ds, ok := src.(DeltaSource); ok && prev != nil {
+		if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
+			if t, err := diff.ApplyChangeSet(prev, cs); err == nil {
+				// Applied tables carry the same tamper-evidence as
+				// checkouts: verify against the content id before trusting
+				// them (a failure falls through to Checkout, which verifies
+				// the raw bytes itself), and admit the verified table into
+				// the source's cache so the next walk takes the warm clone
+				// path.
+				sa, _ := src.(SnapshotAdmitter)
+				if sa == nil || sa.AdmitSnapshot(id, t) == nil {
+					return t, nil
 				}
 			}
 		}
-		t, err := src.Checkout(id)
-		if err != nil {
-			return nil, fmt.Errorf("history: version %s: %w", id, err)
-		}
-		out[i] = t
 	}
-	return out, nil
+	t, err := src.Checkout(id)
+	if err != nil {
+		return nil, fmt.Errorf("history: version %s: %w", id, err)
+	}
+	return t, nil
 }
 
 // SummarizeChain materializes the given version ids in order through src —
@@ -243,19 +327,21 @@ func SummarizeChainContext(ctx context.Context, src CheckoutSource, ids []string
 	return SummarizeAllContext(ctx, snapshots, base)
 }
 
-// forEachStep runs fn for every step index on a pool bounded by workers
-// (≤0 means GOMAXPROCS, clamped to the step count) and returns the earliest
-// failed step's error — deterministic regardless of scheduling. The engine
-// options handed to fn have their internal candidate-worker count collapsed
-// to 1 whenever the step pool itself is parallel, so total concurrency
-// stays at the configured bound instead of squaring it (results are
-// identical either way; the engine is worker-count-independent).
+// forEachStep runs fn for every step index on a pool bounded by
+// base.Workers (≤0 means GOMAXPROCS, clamped to the step count) and returns
+// the earliest failed step's error — deterministic regardless of
+// scheduling. The engine options handed to fn have their candidate-worker
+// count collapsed to 1 whenever the step pool itself is parallel, so total
+// concurrency stays at the configured bound instead of squaring it; the
+// engine's output does not depend on its worker count, so this only bounds
+// concurrency.
 //
 // Cancellation is observed at the pool gate: a step that has not yet
 // acquired a worker slot when ctx ends records the context's error instead
 // of running. A context error outranks step errors in the return value —
 // once the caller has given up, per-step failures are noise.
-func forEachStep(ctx context.Context, steps, workers int, fn func(i int, engineBase core.Options) error, base core.Options) error {
+func forEachStep(ctx context.Context, steps int, base core.Options, fn func(i int, engineBase core.Options) error) error {
+	workers := base.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -299,105 +385,63 @@ func forEachStep(ctx context.Context, steps, workers int, fn func(i int, engineB
 	return nil
 }
 
-// SummarizeTarget summarizes one attribute across the chain on the same
-// bounded step pool as SummarizeAll, skipping the engine entirely on steps
-// where the target did not move. Single-target steps need no pair context —
-// with one run per pair there is nothing to amortize — so each step runs
-// the classic aligned engine. Results are bit-identical to Summarize
-// (the sequential single-target path) except that unchanged steps carry no
-// Ranked entry at all rather than the engine's explicit no-change result.
-func SummarizeTarget(snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	return SummarizeTargetContext(context.Background(), snapshots, target, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeTargetContext
-}
-
-// SummarizeTargetContext is SummarizeTarget bounded by ctx (see
-// SummarizeAllContext for the cancellation semantics).
-func SummarizeTargetContext(ctx context.Context, snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	// Validate the target up front: the engine only runs on steps where it
-	// moved, and a categorical or misspelled target that never moves must
-	// not read as a plausible all-no-change timeline (the serve layer
-	// rejects the same request with a 400).
-	col, err := snapshots[0].Column(target)
+// summarizeStep aligns snapshots i → i+1 once and summarizes target on the
+// pair — every changed numeric attribute when target is empty — routing
+// each engine run through memo. The pair's PairContext is built on the
+// step's first engine run; an explicit condition pool narrows its split
+// index to just those attributes.
+func summarizeStep(i int, src, tgt *table.Table, target string, base core.Options, memo Memo) (*core.MultiResult, error) {
+	a, err := diff.Align(src, tgt)
 	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
+		return nil, err
 	}
-	if !col.Type.Numeric() {
-		return nil, fmt.Errorf("history: target attribute %q is %s, need numeric", target, col.Type)
+	var pc *core.PairContext
+	run := func(opts core.Options) ([]core.Ranked, error) {
+		engine := func() ([]core.Ranked, error) {
+			if pc == nil {
+				var err error
+				if pc, err = core.NewPairContext(a, base.CondAttrs...); err != nil {
+					return nil, err
+				}
+			}
+			return pc.Summarize(opts)
+		}
+		if memo == nil {
+			return engine()
+		}
+		return memo(i, opts, engine)
 	}
-	steps := len(snapshots) - 1
-	tl := &Timeline{Target: target, Steps: make([]Step, steps)}
+	if target == "" {
+		return core.SummarizeAllWith(a, base, run)
+	}
 	tol := base.ChangeTol
 	if tol == 0 {
 		tol = 1e-9
 	}
-	if err := forEachStep(ctx, steps, base.Workers, func(i int, engineBase core.Options) error {
-		var err error
-		tl.Steps[i], err = summarizeTargetStep(snapshots[i], snapshots[i+1], i, target, tol, engineBase)
-		return err
-	}, base); err != nil {
-		return nil, err
-	}
-	return tl, nil
-}
-
-// summarizeTargetStep runs one pair for one target, short-circuiting to a
-// NoChange step when the target did not move.
-func summarizeTargetStep(src, tgt *table.Table, i int, target string, tol float64, base core.Options) (Step, error) {
-	step := Step{From: i, To: i + 1}
-	a, err := diff.Align(src, tgt)
-	if err != nil {
-		return step, err
-	}
 	mask, err := a.ChangedMask(target, tol)
 	if err != nil {
-		return step, err
+		return nil, err
 	}
-	moved := false
-	for _, ch := range mask {
-		if ch {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		step.NoChange = true
-		return step, nil
+	res := &core.MultiResult{ByAttr: map[string][]core.Ranked{}, Skipped: map[string]string{}}
+	if !slices.Contains(mask, true) {
+		return res, nil
 	}
 	opts := base
 	opts.Target = target
-	ranked, err := core.SummarizeAligned(a, opts)
-	if err != nil {
-		return step, err
-	}
-	step.Ranked = ranked
-	if len(ranked) > 0 && ranked[0].NoChange {
-		step.NoChange = true
-	}
-	return step, nil
-}
-
-// summarizeStep aligns one consecutive pair and summarizes all its changed
-// numeric attributes through a shared pair context. An explicit condition
-// pool narrows the context's split index to just those attributes.
-func summarizeStep(src, tgt *table.Table, base core.Options) (*core.MultiResult, error) {
-	a, err := diff.Align(src, tgt)
+	ranked, err := run(opts)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := core.NewPairContext(a, base.CondAttrs...)
-	if err != nil {
-		return nil, err
-	}
-	return core.SummarizeAllWith(ctx, base)
+	res.Attrs = []string{target}
+	res.ByAttr[target] = ranked
+	return res, nil
 }
 
 // mergeSteps assembles per-attribute timelines from the per-step results.
-// Attributes follow schema order; an attribute absent from a step's result
-// (it did not change there) becomes a NoChange step.
-func mergeSteps(first *table.Table, results []*core.MultiResult) *MultiTimeline {
+// Attributes follow schema order: every attribute some step summarized,
+// plus target (when set) even if it never moved. An attribute absent from a
+// step's result (it did not change there) becomes a NoChange step.
+func mergeSteps(first *table.Table, target string, results []*core.MultiResult) *MultiTimeline {
 	mt := &MultiTimeline{
 		Timelines: map[string]*Timeline{},
 		Skipped:   map[string]string{},
@@ -405,7 +449,7 @@ func mergeSteps(first *table.Table, results []*core.MultiResult) *MultiTimeline 
 	}
 	for _, f := range first.Schema() {
 		attr := f.Name
-		active := false
+		active := attr == target
 		for _, res := range results {
 			if _, ok := res.ByAttr[attr]; ok {
 				active = true

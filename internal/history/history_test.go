@@ -1,6 +1,7 @@
 package history
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -661,5 +662,71 @@ func TestMaterializeChainIsParseFreeOnCanonicalChains(t *testing.T) {
 		if !again[i].Equal(want) {
 			t.Fatalf("warm-walk version %d (%s) differs from its checkout", i, id)
 		}
+	}
+}
+
+// TestSummarizeAllWorkerCountIndependent pins the engine's worker-count
+// independence where timelines read it, down to provenance and tie order:
+// on every step of gen.Chain seeds 1–3, a one-step SummarizeAllContext —
+// whose single engine run gets the whole worker budget — must render in
+// full identically for Workers 1, 2 and 8, five runs per parallel count.
+func TestSummarizeAllWorkerCountIndependent(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		snaps, err := gen.Chain(gen.ChainConfig{N: 300, Steps: 4, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(snaps); i++ {
+			render := func(workers int) string {
+				base := core.DefaultOptions("")
+				base.Workers = workers
+				mt, err := SummarizeAllContext(ctx, snaps[i:i+2], base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return renderFull(mt)
+			}
+			want := render(1)
+			for _, workers := range []int{2, 8} {
+				for run := 0; run < 5; run++ {
+					if got := render(workers); got != want {
+						t.Fatalf("seed %d step %d: Workers=%d run %d renders differently from Workers=1:\n%s\nwant\n%s", seed, i, workers, run, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSummarizeTargetRejectsKeyColumn: a key column never moves, so as a
+// target it must be rejected up front — with the serve layer's message —
+// instead of reading as an all-no-change timeline.
+func TestSummarizeTargetRejectsKeyColumn(t *testing.T) {
+	schema := table.Schema{
+		{Name: "id", Type: table.Int},
+		{Name: "dept", Type: table.String},
+		{Name: "salary", Type: table.Float},
+	}
+	var snaps []*table.Table
+	for s := 0; s < 3; s++ {
+		tb := table.MustNew(schema)
+		for i := 0; i < 6; i++ {
+			tb.MustAppendRow(table.I(int64(i)), table.S([]string{"eng", "hr"}[i%2]), table.F(float64(1000+100*i+10*s)))
+		}
+		if err := tb.SetKey("id"); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, tb)
+	}
+	base := core.DefaultOptions("")
+	if _, err := SummarizeTarget(snaps, "id", base); err == nil || !strings.Contains(err.Error(), "unknown target attribute") {
+		t.Errorf("key target err = %v, want unknown target attribute", err)
+	}
+	if _, err := SummarizeTarget(snaps, "dept", base); err == nil || !strings.Contains(err.Error(), "is not numeric") {
+		t.Errorf("categorical target err = %v, want not numeric", err)
+	}
+	if _, err := SummarizeTarget(snaps, "salary", base); err != nil {
+		t.Errorf("numeric target: %v", err)
 	}
 }

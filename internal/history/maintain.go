@@ -4,11 +4,10 @@
 // answering under updates" idea (Berkholz/Keppeler/Schweikardt,
 // arXiv:1702.08764) applied to change summarization. Extension work is
 // O(one step) regardless of chain length, and the maintained MultiTimeline
-// is bit-identical to a from-scratch SummarizeAll rebuild of any multi-step
-// chain: both paths run the same deterministic engine on the same pairs in
-// the same canonical Workers=1 form and merge with the same mergeSteps.
-// (A 1-step SummarizeAll with Workers unset runs the engine parallel, whose
-// tie order inside a summary can differ; pass Workers=1 when comparing.)
+// is bit-identical to a from-scratch SummarizeAll rebuild of the same
+// chain: both paths run the same step of the same deterministic,
+// worker-count-independent engine on the same pairs and merge with the same
+// mergeSteps.
 
 package history
 
@@ -17,7 +16,6 @@ import (
 	"fmt"
 
 	"charles/internal/core"
-	"charles/internal/diff"
 	"charles/internal/table"
 )
 
@@ -44,27 +42,18 @@ func NewTimelineMaintainer(snapshots []*table.Table, ids []string, base core.Opt
 // NewTimelineMaintainerContext is NewTimelineMaintainer bounded by ctx (the
 // seed walk runs on the same bounded step pool as SummarizeAllContext).
 func NewTimelineMaintainerContext(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options) (*TimelineMaintainer, error) {
+	return NewTimelineMaintainerMemo(ctx, snapshots, ids, base, nil)
+}
+
+// NewTimelineMaintainerMemo is NewTimelineMaintainerContext with the seed
+// walk's engine runs routed through memo (see Walk). Steps appended later by
+// Extend run the engine directly.
+func NewTimelineMaintainerMemo(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
 	if len(snapshots) != len(ids) {
 		return nil, fmt.Errorf("history: %d snapshots but %d ids", len(snapshots), len(ids))
 	}
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	steps := len(snapshots) - 1
-	results := make([]*core.MultiResult, steps)
-	if err := forEachStep(ctx, steps, base.Workers, func(i int, engineBase core.Options) error {
-		// Always run the engine in its Workers=1 form — the canonical form
-		// forEachStep collapses to on every multi-step chain. The engine's
-		// rankings are semantically worker-count-independent but not
-		// bit-stable across worker counts (tie order inside a summary can
-		// differ), and the maintainer's contract is bit-identity between an
-		// extended timeline and a ≥2-step rebuild, so every step must be
-		// produced in the same form regardless of when it was computed.
-		engineBase.Workers = 1
-		var err error
-		results[i], err = summarizeStep(snapshots[i], snapshots[i+1], engineBase)
-		return err
-	}, base); err != nil {
+	results, err := walk(ctx, snapshots, "", base, memo)
+	if err != nil {
 		return nil, err
 	}
 	return &TimelineMaintainer{
@@ -93,12 +82,7 @@ func (m *TimelineMaintainer) Versions() []string {
 // rejects) the maintainer is left unchanged so the caller can fall back to
 // a full rebuild over the new chain.
 func (m *TimelineMaintainer) Extend(id string, next *table.Table) error {
-	// Same canonical Workers=1 engine form as the seed build (see
-	// NewTimelineMaintainerContext): the one new pair must be bit-identical
-	// to what a from-scratch multi-step rebuild would compute for it.
-	eb := m.base
-	eb.Workers = 1
-	res, err := summarizeStep(m.last, next, eb)
+	res, err := summarizeStep(len(m.results), m.last, next, "", m.base, nil)
 	if err != nil {
 		return fmt.Errorf("history: extend %s→%s: %w", m.Head(), id, err)
 	}
@@ -124,7 +108,7 @@ func (m *TimelineMaintainer) ExtendFromSource(src CheckoutSource, id string) err
 // mergeSteps that SummarizeAll uses, over the same per-step results, so the
 // output is bit-identical to a from-scratch rebuild of the same chain.
 func (m *TimelineMaintainer) Timeline() *MultiTimeline {
-	return mergeSteps(m.first, m.results)
+	return mergeSteps(m.first, "", m.results)
 }
 
 // TimelineAt assembles the MultiTimeline for a prefix of the maintained
@@ -138,7 +122,7 @@ func (m *TimelineMaintainer) TimelineAt(id string) (*MultiTimeline, []string, bo
 			if i == 0 {
 				return nil, nil, false
 			}
-			return mergeSteps(m.first, m.results[:i]), append([]string(nil), m.ids[:i+1]...), true
+			return mergeSteps(m.first, "", m.results[:i]), append([]string(nil), m.ids[:i+1]...), true
 		}
 	}
 	return nil, nil, false
@@ -155,32 +139,4 @@ func (m *TimelineMaintainer) Fork() *TimelineMaintainer {
 		last:    m.last,
 		results: append([]*core.MultiResult(nil), m.results...),
 	}
-}
-
-// MaterializeStep materializes one version delta-natively when possible:
-// the cached-table path first, then applying id's ChangeSet to prev (the
-// already materialized snapshot of prevID, id's parent), then a plain
-// checkout. It is the single-step form of MaterializeChainContext's loop
-// body, with the same verify-before-trust discipline on applied deltas.
-func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
-	if cc, ok := src.(CachedCheckoutSource); ok {
-		if t, ok := cc.CheckoutCached(id); ok {
-			return t, nil
-		}
-	}
-	if ds, ok := src.(DeltaSource); ok && prev != nil {
-		if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
-			if t, err := diff.ApplyChangeSet(prev, cs); err == nil {
-				sa, _ := src.(SnapshotAdmitter)
-				if sa == nil || sa.AdmitSnapshot(id, t) == nil {
-					return t, nil
-				}
-			}
-		}
-	}
-	t, err := src.Checkout(id)
-	if err != nil {
-		return nil, fmt.Errorf("history: version %s: %w", id, err)
-	}
-	return t, nil
 }

@@ -2,15 +2,19 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"sync"
 )
 
-// Stats is a snapshot of the result cache's counters. Hits are requests
-// served from the LRU, misses are requests that had to compute (or join an
-// in-flight computation), and executions counts actual engine runs — with
-// singleflight deduplication, N identical concurrent requests cost one
-// execution.
+// Stats is a snapshot of the result cache's counters. Hits are lookups
+// served from the LRU, misses are lookups that had to compute (or join an
+// in-flight computation), and executions counts the computations actually
+// run — with singleflight deduplication, N identical concurrent requests
+// cost one execution. An execution is whatever the cached value took: one
+// engine run for a summarize or timeline-step entry, a whole walk or
+// maintained-timeline assembly for a timeline answer (whose steps are
+// entries, and executions, of their own).
 type Stats struct {
 	Hits       int64 `json:"hits"`
 	Misses     int64 `json:"misses"`
@@ -23,7 +27,8 @@ type Stats struct {
 // resultCache is a fixed-capacity LRU with singleflight deduplication:
 // concurrent Do calls for the same key block on one computation instead of
 // racing the engine N times. Errors are returned to every waiter but never
-// cached, so a transient failure does not poison the key.
+// cached, so a transient failure does not poison the key — and a waiter is
+// never failed by another request's cancellation (see Do).
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -60,6 +65,13 @@ func newResultCache(capacity int) *resultCache {
 // Do returns the cached value for key, or computes it once — no matter how
 // many goroutines ask concurrently. hit reports whether the value came from
 // the LRU without waiting on any computation.
+//
+// Every caller passes its own compute, which checks its own request's
+// context before working. So when the computation a waiter joined fails
+// with a context error, the computing request gave up, not the
+// computation: the waiter retries with its own compute, which either
+// finishes the work or, if the waiter's context has ended too, fails at
+// once with the waiter's own error.
 func (c *resultCache) Do(key string, compute func() (any, error)) (val any, hit bool, err error) {
 	// Singleflight cannot defer-scope this lock: it must be released before
 	// blocking on an in-flight call (or running compute), and every exit path
@@ -76,6 +88,9 @@ func (c *resultCache) Do(key string, compute func() (any, error)) (val any, hit 
 		// Join the in-flight computation.
 		c.mu.Unlock()
 		<-cl.done
+		if errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded) {
+			return c.Do(key, compute)
+		}
 		return cl.val, false, cl.err
 	}
 	cl := &call{done: make(chan struct{})}

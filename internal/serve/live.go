@@ -5,9 +5,10 @@
 // incremental step cannot apply — schema change, missed notes, branch
 // switch) plus a bounded ring of watch events fanned out to /timeline/watch
 // subscribers. Head-relative POST /timeline answers are assembled from the
-// maintainer and memoized whole-response keyed by the head version id, so a
-// warm answer costs one cache lookup regardless of chain length — the
-// "query answering under updates" discipline applied end to end.
+// maintainer and memoized whole-response keyed by the head version id (see
+// handleTimeline), so a warm answer costs one cache lookup regardless of
+// chain length — the "query answering under updates" discipline applied end
+// to end.
 
 package serve
 
@@ -24,7 +25,6 @@ import (
 	"charles/internal/core"
 	"charles/internal/history"
 	"charles/internal/store"
-	"charles/internal/table"
 )
 
 // liveEventRing bounds the per-shard buffered watch events a late or
@@ -42,8 +42,7 @@ const watcherBuffer = 8
 // re-polls — never a 503, so pollers cannot distinguish idle from slow.
 const watchPollTimeout = 25 * time.Second
 
-// errTimelineTooShort is the shared too-few-versions error of both the
-// legacy walk and the live maintainer path.
+// errTimelineTooShort is the too-few-versions error of every timeline.
 var errTimelineTooShort = errors.New("timeline needs a lineage of at least 2 versions")
 
 // watchTargetJSON is one attribute's state after the newest step: whether
@@ -221,16 +220,9 @@ func (ls *liveShard) applyCommit(st *store.Store, v *store.Version) string {
 // rebuildMaintainer builds a maintainer from scratch over v's full chain —
 // the fallback when the one-step extension cannot apply.
 func rebuildMaintainer(st *store.Store, head string) (*history.TimelineMaintainer, error) {
-	chain, err := st.Chain(head)
+	ids, err := lineageIDs(st, head)
 	if err != nil {
 		return nil, err
-	}
-	if len(chain) < 2 {
-		return nil, errTimelineTooShort
-	}
-	ids := make([]string, len(chain))
-	for i, v := range chain {
-		ids[i] = v.ID
 	}
 	mats, err := history.MaterializeChain(st, ids)
 	if err != nil {
@@ -447,166 +439,30 @@ func writeSSE(w io.Writer, event string, v any) error {
 	return err
 }
 
-// handleLiveTimeline answers the head-relative all-defaults POST /timeline
-// from the shard's maintained timeline: resolve the head, assemble (or
-// reuse) the maintainer's state for it, and memoize the whole response
-// keyed by the head version id — a warm answer is one cache lookup, no
-// engine work, no chain walk, regardless of lineage length.
-func (s *Server) handleLiveTimeline(sh *shardRef, w http.ResponseWriter, r *http.Request) {
-	hv, err := sh.st.Head()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ls := s.liveShardFor(sh)
-	ctx := r.Context()
-	key := sh.cacheKeyPrefix() + "timeline|" + hv.ID
-	val, hit, err := s.cache.Do(key, func() (any, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		mt, ids, err := s.liveTimelineAt(ctx, sh, ls, hv.ID)
-		if err != nil {
-			return nil, err
-		}
-		// Seed the per-step LRU under the same keys POST /summarize uses,
-		// so a live timeline warms pair questions exactly like the legacy
-		// walk did (and vice versa: nothing here re-runs warm pairs).
-		s.seedStepCache(sh, ids, mt)
-		return encodeLiveTimeline(hv.ID, ids, mt), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := val.(timelineResponse)
-	resp.Cached = hit
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // liveTimelineAt returns the maintained MultiTimeline for head, building or
-// rebuilding the shard's maintainer when needed. A maintainer that has
-// already advanced past head (a commit raced the request) answers from its
-// prefix, so the reader still gets a consistent timeline for the head it
-// resolved.
+// rebuilding the shard's maintainer when needed — its seed walk memoized
+// like any request-time walk (see stepMemo). A maintainer that has already
+// advanced past head (a commit raced the request) answers from its prefix,
+// so the reader still gets a consistent timeline for the head it resolved.
 func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.maint != nil {
-		if ls.maint.Head() == head {
-			return ls.maint.Timeline(), ls.maint.Versions(), nil
-		}
 		if mt, ids, ok := ls.maint.TimelineAt(head); ok {
 			return mt, ids, nil
 		}
 	}
-	chain, err := sh.st.Chain(head)
+	ids, mats, err := materializeLineage(ctx, sh.st, head)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(chain) < 2 {
-		return nil, nil, errTimelineTooShort
-	}
-	ids := make([]string, len(chain))
-	for i, v := range chain {
-		ids[i] = v.ID
-	}
-	mats, err := history.MaterializeChainContext(ctx, sh.st, ids)
+	m, err := history.NewTimelineMaintainerMemo(ctx, mats, ids, core.DefaultOptions(""), s.stepMemo(ctx, sh, ids))
 	if err != nil {
 		return nil, nil, err
-	}
-	base := core.DefaultOptions("")
-	var m *history.TimelineMaintainer
-	if s.stepHook == nil {
-		m, err = history.NewTimelineMaintainerContext(ctx, mats, ids, base)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		// Test seam: build step by step so the hook observes (and can stall)
-		// each engine step, mirroring the legacy walk's per-step hook.
-		m, err = seededMaintainer(ctx, s.stepHook, mats, ids, base)
-		if err != nil {
-			return nil, nil, err
-		}
 	}
 	ls.maint = m
 	if ls.head == "" {
 		ls.head = head
 	}
 	return m.Timeline(), m.Versions(), nil
-}
-
-// seededMaintainer builds a maintainer one step at a time, invoking hook
-// before each engine step and honoring ctx between steps.
-func seededMaintainer(ctx context.Context, hook func(), mats []*table.Table, ids []string, base core.Options) (*history.TimelineMaintainer, error) {
-	hook()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m, err := history.NewTimelineMaintainerContext(ctx, mats[:2], ids[:2], base)
-	if err != nil {
-		return nil, err
-	}
-	for i := 2; i < len(ids); i++ {
-		hook()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := m.Extend(ids[i], mats[i]); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// seedStepCache inserts the maintainer's per-step rankings into the result
-// LRU under the (from, to, options-fingerprint) keys the summarize and
-// legacy timeline paths use. Do is a hit for already-present keys, so
-// repeated seeding is cheap and never recomputes.
-func (s *Server) seedStepCache(sh *shardRef, ids []string, mt *history.MultiTimeline) {
-	for _, attr := range mt.Attrs {
-		fp := core.DefaultOptions(attr).Fingerprint()
-		tl := mt.Timelines[attr]
-		for _, hs := range tl.Steps {
-			if len(hs.Ranked) == 0 {
-				continue
-			}
-			ranked := hs.Ranked
-			key := sh.cacheKeyPrefix() + ids[hs.From] + "|" + ids[hs.To] + "|" + fp
-			_, _, _ = s.cache.Do(key, func() (any, error) { return ranked, nil })
-		}
-	}
-}
-
-// encodeLiveTimeline renders a maintained MultiTimeline as the wire
-// timelineResponse. Semantically equivalent to the legacy walk's response
-// for the same chain (same targets, steps, no-change flags, drifts, skip
-// reasons); per-step Cached flags are not populated — the whole response is
-// cached as a unit instead.
-func encodeLiveTimeline(head string, ids []string, mt *history.MultiTimeline) timelineResponse {
-	resp := timelineResponse{
-		Head: head, Versions: ids, Steps: mt.Steps,
-		Skipped: mt.Skipped, Live: true,
-	}
-	for _, attr := range mt.Attrs {
-		tl := mt.Timelines[attr]
-		tj := timelineTargetJSON{Target: attr}
-		for _, hs := range tl.Steps {
-			sj := timelineStepJSON{From: ids[hs.From], To: ids[hs.To], NoChange: hs.NoChange}
-			if len(hs.Ranked) > 0 {
-				sj.Ranked = EncodeRanked(hs.Ranked)
-			}
-			tj.Steps = append(tj.Steps, sj)
-		}
-		for _, d := range tl.Drifts() {
-			tj.Drifts = append(tj.Drifts, driftJSON{
-				StepA: d.StepA, StepB: d.StepB,
-				SamePartitioning: d.SamePartitioning,
-				Note:             d.Note,
-			})
-		}
-		resp.Targets = append(resp.Targets, tj)
-	}
-	return resp
 }

@@ -137,7 +137,8 @@ type Server struct {
 	drainOnce sync.Once
 
 	// Test seams (set only from package tests): testDelay runs after a
-	// limiter slot is held, stepHook inside each timeline step computation.
+	// limiter slot is held, stepHook before each timeline engine run that
+	// misses the result cache.
 	testDelay func(*http.Request)
 	stepHook  func()
 
@@ -179,6 +180,13 @@ type shardRef struct {
 // identical version ids can never collide in the shared LRU.
 func (sh *shardRef) cacheKeyPrefix() string {
 	return sh.tenant + "/" + sh.dataset + "|"
+}
+
+// stepKey is the result-cache key of one engine run over the pair from →
+// to with options fingerprint fp, shared by POST /summarize and every
+// timeline step.
+func (sh *shardRef) stepKey(from, to, fp string) string {
+	return sh.cacheKeyPrefix() + from + "|" + to + "|" + fp
 }
 
 // NewServer wraps st in an HTTP handler with a result cache of cacheSize
@@ -645,13 +653,17 @@ type changeJSON struct {
 	New  string `json:"new"`
 }
 
+// diffTol is the change tolerance of GET /diff: the engine default, so a
+// diff reports the changes a summary of the same pair sees.
+const diffTol = 1e-9
+
 func (s *Server) handleDiff(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	from, to := r.URL.Query().Get("from"), r.URL.Query().Get("to")
 	if from == "" || to == "" {
 		writeError(w, errors.New("diff needs from and to"))
 		return
 	}
-	res, native, err := sh.st.DiffResult(from, to, timelineTol)
+	res, native, err := sh.st.DiffResult(from, to, diffTol)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -798,9 +810,8 @@ func (s *Server) handleSummarize(sh *shardRef, w http.ResponseWriter, r *http.Re
 		opts.TopK = *req.TopK
 	}
 	fp := opts.Fingerprint()
-	key := sh.cacheKeyPrefix() + req.From + "|" + req.To + "|" + fp
 	ctx := r.Context()
-	val, hit, err := s.cache.Do(key, func() (any, error) {
+	val, hit, err := s.cache.Do(sh.stepKey(req.From, req.To, fp), func() (any, error) {
 		// A request that timed out or was abandoned while waiting its turn
 		// must not start an engine run nobody will read.
 		if err := ctx.Err(); err != nil {

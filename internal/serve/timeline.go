@@ -1,16 +1,15 @@
 package serve
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"runtime"
-	"sync"
 
 	"charles/internal/core"
-	"charles/internal/diff"
 	"charles/internal/history"
+	"charles/internal/store"
+	"charles/internal/table"
 )
 
 // timelineRequest is the POST /timeline body. Head defaults to the most
@@ -30,7 +29,6 @@ type timelineStepJSON struct {
 	From     string       `json:"from"`
 	To       string       `json:"to"`
 	NoChange bool         `json:"noChange,omitempty"`
-	Cached   bool         `json:"cached,omitempty"`
 	Ranked   []RankedJSON `json:"ranked,omitempty"`
 }
 
@@ -52,7 +50,7 @@ type timelineTargetJSON struct {
 // timelineResponse is the POST /timeline body. Live reports the answer was
 // assembled from the commit-maintained timeline (head-relative all-default
 // requests; see live.go) rather than a request-time chain walk; Cached
-// reports a live answer served whole from the memo for the same head.
+// reports the answer was served whole from the memo for the same question.
 type timelineResponse struct {
 	Head     string               `json:"head"`
 	Versions []string             `json:"versions"` // root → head
@@ -63,16 +61,15 @@ type timelineResponse struct {
 	Skipped  map[string]string    `json:"skipped,omitempty"`
 }
 
-// timelineTol is the change tolerance of the lineage walk (the engine
-// default, also used by GET /diff).
-const timelineTol = 1e-9
-
-// handleTimeline walks the store lineage head→root and summarizes every
-// step, reusing the summarize LRU per step: each (from, to, target) triple
-// is cached under the same (from, to, options-fingerprint) key POST
-// /summarize uses, so a timeline request warms the pair cache and vice
-// versa. Steps run concurrently; identical in-flight work is collapsed by
-// the cache's singleflight.
+// handleTimeline answers POST /timeline for the lineage ending at head. The
+// head-relative all-defaults question — "what does the timeline at the
+// current head look like?" — is read from the shard's maintained timeline;
+// every other question runs history.Walk over the materialized lineage, with
+// each (step, target) engine run memoized in the result LRU under the key
+// POST /summarize uses, so walks and pair questions warm each other. Either
+// way the whole answer is memoized too — per head for live answers, per
+// (head, options fingerprint) for walks, the fingerprint covering the
+// target — so a warm repeat is one cache lookup.
 func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	var req timelineRequest
 	// Every field is optional, so an absent body is the all-defaults
@@ -81,15 +78,8 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		writeError(w, err)
 		return
 	}
-	// The head-relative all-defaults question — "what does the timeline at
-	// the current head look like?" — is answered from the live maintained
-	// timeline and memoized per head version; explicit heads, targets, or
-	// tuning fall through to the request-time walk below.
-	if req.Head == "" && req.Target == "" &&
-		req.Alpha == nil && req.C == nil && req.T == nil && req.TopK == nil {
-		s.handleLiveTimeline(sh, w, r)
-		return
-	}
+	live := req.Head == "" && req.Target == "" &&
+		req.Alpha == nil && req.C == nil && req.T == nil && req.TopK == nil
 	head := req.Head
 	if head == "" {
 		hv, err := sh.st.Head()
@@ -99,240 +89,149 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		}
 		head = hv.ID
 	}
-	chain, err := sh.st.Chain(head)
+	opts := core.DefaultOptions(req.Target)
+	if req.Alpha != nil {
+		opts.Alpha = *req.Alpha
+	}
+	if req.C != nil {
+		opts.C = *req.C
+	}
+	if req.T != nil {
+		opts.T = *req.T
+	}
+	if req.TopK != nil {
+		opts.TopK = *req.TopK
+	}
+	// Live answers differ from walk answers in their Live flag, so the two
+	// are memoized apart even for the same head and options.
+	key := sh.cacheKeyPrefix() + "timeline|" + head
+	var ls *liveShard
+	if live {
+		ls = s.liveShardFor(sh)
+	} else {
+		key += "|" + opts.Fingerprint()
+	}
+	ctx := r.Context()
+	val, hit, err := s.cache.Do(key, func() (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var mt *history.MultiTimeline
+		var ids []string
+		var err error
+		if live {
+			if mt, ids, err = s.liveTimelineAt(ctx, sh, ls, head); err == nil {
+				// Seed the pair LRU with the steps the commit pump appended
+				// outside any request.
+				s.seedStepCache(sh, ids, mt)
+			}
+		} else {
+			var mats []*table.Table
+			if ids, mats, err = materializeLineage(ctx, sh.st, head); err == nil {
+				mt, err = history.Walk(ctx, mats, req.Target, opts, s.stepMemo(ctx, sh, ids))
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		return encodeTimeline(head, ids, live, mt), nil
+	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if len(chain) < 2 {
-		writeError(w, errTimelineTooShort)
-		return
-	}
-	steps := len(chain) - 1
+	resp := val.(timelineResponse)
+	resp.Cached = hit
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	// Materialize each version exactly once and align the consecutive pairs
-	// up front — Align never mutates its inputs, so a middle snapshot can
-	// safely be one step's target and the next step's source. The chain is
-	// materialized delta-natively: a cold walk checks out the root and
-	// derives each next snapshot from its version's ChangeSet, so it parses
-	// one CSV instead of one per version; cached snapshots short-circuit to
-	// the warm clone path. changedBy[i] is the per-step changed-attribute
-	// set.
-	ctx := r.Context()
+// lineageIDs returns the version ids of head's lineage, root → head. A
+// lineage of one version has no steps and is an error.
+func lineageIDs(st *store.Store, head string) ([]string, error) {
+	chain, err := st.Chain(head)
+	if err != nil {
+		return nil, err
+	}
+	if len(chain) < 2 {
+		return nil, errTimelineTooShort
+	}
 	ids := make([]string, len(chain))
 	for i, v := range chain {
 		ids[i] = v.ID
 	}
-	tables, err := history.MaterializeChainContext(ctx, sh.st, ids)
+	return ids, nil
+}
+
+// materializeLineage resolves head's lineage and materializes it
+// delta-natively: a cold walk checks out the root and derives each later
+// snapshot from its version's ChangeSet, and cached snapshots short-circuit
+// to the warm clone path.
+func materializeLineage(ctx context.Context, st *store.Store, head string) ([]string, []*table.Table, error) {
+	ids, err := lineageIDs(st, head)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, nil, err
 	}
-	aligned := make([]*diff.Aligned, steps)
-	changedBy := make([]map[string]bool, steps)
-	var schemaAttrs []string         // non-key attrs in schema order
-	numeric := map[string]bool{}     // attr -> numeric?
-	everChanged := map[string]bool{} // union across steps
-	for i := 0; i < steps; i++ {
-		a, err := diff.Align(tables[i], tables[i+1])
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		aligned[i] = a
-		if schemaAttrs == nil {
-			keySet := map[string]bool{}
-			for _, k := range a.Source.Key() {
-				keySet[k] = true
-			}
-			for _, f := range a.Source.Schema() {
-				if keySet[f.Name] {
-					continue
-				}
-				schemaAttrs = append(schemaAttrs, f.Name)
-				numeric[f.Name] = f.Type.Numeric()
-			}
-		}
-		attrs, err := a.ChangedAttrs(timelineTol)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		changedBy[i] = map[string]bool{}
-		for _, attr := range attrs {
-			changedBy[i][attr] = true
-			everChanged[attr] = true
-		}
+	mats, err := history.MaterializeChainContext(ctx, st, ids)
+	if err != nil {
+		return nil, nil, err
 	}
+	return ids, mats, nil
+}
 
-	// Target set: the explicit request target (validated, so a typo reads
-	// as an error rather than a fabricated all-no-change timeline), else
-	// every changed numeric attribute in schema order (categorical changes
-	// are reported skipped).
-	var targets []string
-	skipped := map[string]string{}
-	if req.Target != "" {
-		isNumeric, known := numeric[req.Target]
-		switch {
-		case !known:
-			writeError(w, fmt.Errorf("unknown target attribute %q", req.Target))
-			return
-		case !isNumeric:
-			writeError(w, fmt.Errorf("target attribute %q is not numeric (categorical changes cannot be summarized)", req.Target))
-			return
+// stepMemo backs a walk over ids with the result LRU: each (step, target)
+// engine run is looked up, or computed once, under its stepKey. The compute
+// runs stepHook and honours ctx before any engine work, so an abandoned walk
+// stops starting engine runs.
+func (s *Server) stepMemo(ctx context.Context, sh *shardRef, ids []string) history.Memo {
+	return func(i int, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
+		val, _, err := s.cache.Do(sh.stepKey(ids[i], ids[i+1], opts.Fingerprint()), func() (any, error) {
+			if s.stepHook != nil {
+				s.stepHook()
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return run()
+		})
+		if err != nil {
+			return nil, err
 		}
-		targets = []string{req.Target}
-	} else {
-		for _, attr := range schemaAttrs {
-			if !everChanged[attr] {
+		return val.([]core.Ranked), nil
+	}
+}
+
+// seedStepCache inserts a timeline's per-step rankings into the result LRU
+// under their stepKeys. Do is a hit for already-present keys, so repeated
+// seeding is cheap and never recomputes.
+func (s *Server) seedStepCache(sh *shardRef, ids []string, mt *history.MultiTimeline) {
+	for _, attr := range mt.Attrs {
+		fp := core.DefaultOptions(attr).Fingerprint()
+		for _, hs := range mt.Timelines[attr].Steps {
+			if len(hs.Ranked) == 0 {
 				continue
 			}
-			if !numeric[attr] {
-				skipped[attr] = "non-numeric attribute (categorical change)"
-				continue
-			}
-			targets = append(targets, attr)
+			ranked := hs.Ranked
+			_, _, _ = s.cache.Do(sh.stepKey(ids[hs.From], ids[hs.To], fp), func() (any, error) { return ranked, nil })
 		}
 	}
+}
 
-	// Per-target engine options; the fingerprint keys the LRU.
-	optsByTarget := make([]core.Options, len(targets))
-	fpByTarget := make([]string, len(targets))
-	for ti, target := range targets {
-		opts := core.DefaultOptions(target)
-		if req.Alpha != nil {
-			opts.Alpha = *req.Alpha
-		}
-		if req.C != nil {
-			opts.C = *req.C
-		}
-		if req.T != nil {
-			opts.T = *req.T
-		}
-		if req.TopK != nil {
-			opts.TopK = *req.TopK
-		}
-		if steps > 1 {
-			// The step fan-out supplies the parallelism; single-threaded
-			// engine runs keep total concurrency at GOMAXPROCS instead of
-			// squaring it. Workers is excluded from the fingerprint and the
-			// engine is worker-count-independent, so cached results stay
-			// interchangeable with POST /summarize.
-			opts.Workers = 1
-		}
-		optsByTarget[ti] = opts
-		fpByTarget[ti] = opts.Fingerprint()
+// encodeTimeline renders a MultiTimeline over the version ids as the wire
+// timelineResponse, with each target's drift analysis from the library.
+func encodeTimeline(head string, ids []string, live bool, mt *history.MultiTimeline) timelineResponse {
+	resp := timelineResponse{
+		Head: head, Versions: ids, Steps: mt.Steps,
+		Skipped: mt.Skipped, Live: live,
 	}
-
-	// Fan the steps out over a bounded pool. Within a step, the targets run
-	// sequentially through one lazily built PairContext, so a cold walk
-	// builds each pair's atom cache and split index once across all its
-	// targets; every result still lands in the LRU under the same key POST
-	// /summarize uses, so repeats cost nothing and concurrent duplicates
-	// collapse to one execution.
-	type cell struct {
-		ranked []core.Ranked
-		hit    bool
-		err    error
-		run    bool
-	}
-	cells := make([][]cell, len(targets))
-	for ti := range targets {
-		cells[ti] = make([]cell, steps)
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < steps; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The pool gate observes the request context: a cancelled or
-			// timed-out request stops dispatching steps instead of walking
-			// the rest of the lineage for a reader that is gone.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				for ti := range targets {
-					cells[ti][i].err = ctx.Err()
-				}
-				return
-			}
-			defer func() { <-sem }()
-			var pctx *core.PairContext // built on the step's first cache miss
-			from, to := chain[i].ID, chain[i+1].ID
-			for ti := range targets {
-				if !changedBy[i][targets[ti]] {
-					continue // NoChange step: no engine run
-				}
-				if err := ctx.Err(); err != nil {
-					cells[ti][i].err = err
-					return
-				}
-				key := sh.cacheKeyPrefix() + from + "|" + to + "|" + fpByTarget[ti]
-				val, hit, err := s.cache.Do(key, func() (any, error) {
-					if s.stepHook != nil {
-						s.stepHook()
-					}
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if pctx == nil {
-						var err error
-						if pctx, err = core.NewPairContext(aligned[i]); err != nil {
-							return nil, err
-						}
-					}
-					return pctx.Summarize(optsByTarget[ti])
-				})
-				c := &cells[ti][i]
-				c.run, c.hit, c.err = true, hit, err
-				if err == nil {
-					c.ranked = val.([]core.Ranked)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	// A dead request context outranks per-step errors: the walk was
-	// abandoned, not broken.
-	if err := ctx.Err(); err != nil {
-		writeError(w, err)
-		return
-	}
-	for ti := range targets {
-		for i := range cells[ti] {
-			if err := cells[ti][i].err; err != nil {
-				writeError(w, err)
-				return
-			}
-		}
-	}
-
-	resp := timelineResponse{Head: head, Steps: steps, Skipped: skipped}
-	for _, v := range chain {
-		resp.Versions = append(resp.Versions, v.ID)
-	}
-	for ti, target := range targets {
-		tj := timelineTargetJSON{Target: target}
-		// Assemble a history.Timeline alongside the wire steps so the drift
-		// analysis is the library's, not a re-implementation.
-		tl := &history.Timeline{Target: target}
-		for i := 0; i < steps; i++ {
-			c := cells[ti][i]
-			sj := timelineStepJSON{From: chain[i].ID, To: chain[i+1].ID}
-			hs := history.Step{From: i, To: i + 1}
-			if !c.run {
-				sj.NoChange, hs.NoChange = true, true
-			} else {
-				sj.Cached = c.hit
-				sj.Ranked = EncodeRanked(c.ranked)
-				hs.Ranked = c.ranked
-				if len(c.ranked) > 0 && c.ranked[0].NoChange {
-					sj.NoChange, hs.NoChange = true, true
-				}
+	for _, attr := range mt.Attrs {
+		tl := mt.Timelines[attr]
+		tj := timelineTargetJSON{Target: attr}
+		for _, hs := range tl.Steps {
+			sj := timelineStepJSON{From: ids[hs.From], To: ids[hs.To], NoChange: hs.NoChange}
+			if len(hs.Ranked) > 0 {
+				sj.Ranked = EncodeRanked(hs.Ranked)
 			}
 			tj.Steps = append(tj.Steps, sj)
-			tl.Steps = append(tl.Steps, hs)
 		}
 		for _, d := range tl.Drifts() {
 			tj.Drifts = append(tj.Drifts, driftJSON{
@@ -343,5 +242,5 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		}
 		resp.Targets = append(resp.Targets, tj)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
