@@ -14,12 +14,14 @@
 // Flags are recognized in all four spellings (-dir VALUE, -dir=VALUE,
 // --dir VALUE, --dir=VALUE), anywhere on the command line.
 //
-// With -hub the service fronts a multi-tenant store hub: every endpoint
-// below also exists under /datasets/{tenant}/{dataset}/..., the legacy
-// un-prefixed routes serve the -default-tenant/-default-dataset shard,
-// -max-open-stores soft-caps simultaneously open shards (idle ones close
-// LRU-first), and -mem-budget bounds the total bytes all shards' checkout/
-// blob/change-set/result caches may hold together.
+// Every endpoint below also exists under /datasets/{tenant}/{dataset}/...,
+// and the legacy un-prefixed routes serve the -default-tenant/
+// -default-dataset shard. With -hub the service fronts a multi-tenant
+// store hub: -max-open-stores soft-caps simultaneously open shards (idle
+// ones close LRU-first), and -mem-budget bounds the total bytes all
+// shards' checkout/blob/change-set/result caches may hold together. With
+// -dir it serves one store as a hub of one dataset, the default one: every
+// other tenant/dataset answers 404 and nothing else is ever created.
 //
 // Live timelines: every commit advances an incrementally maintained
 // per-dataset timeline (one engine step per commit, full rebuild only on
@@ -42,7 +44,7 @@
 // duration) to the named file. /healthz, /stats, and /metrics bypass the
 // -max-inflight limiter so probes and scrapers always answer.
 //
-// Endpoints (each also at /datasets/{tenant}/{dataset}/... in hub mode):
+// Endpoints (each also at /datasets/{tenant}/{dataset}/...):
 //
 //	POST /versions            commit a CSV snapshot {csv, key, parent?, message?}
 //	GET  /versions            log, commit order
@@ -53,8 +55,8 @@
 //	POST /timeline            {head?, target?, alpha?, c?, t?, topk?}
 //	GET  /timeline/watch      subscribe to commit-driven timeline steps:
 //	                          SSE stream, or long-poll with ?since=<version>
-//	GET  /datasets            list tenant/dataset pairs (hub mode)
-//	GET  /stats               cache + store + serving counters (+ hub rollup)
+//	GET  /datasets            list tenant/dataset pairs
+//	GET  /stats               cache + store + serving counters + hub rollup
 //	GET  /metrics             Prometheus text exposition (limiter-exempt)
 //	GET  /healthz             liveness
 package main
@@ -80,10 +82,10 @@ func main() {
 	addr := fs.String("addr", ":8344", "listen address")
 	dir := fs.String("dir", ".charles-store", "store directory (empty = memory only)")
 	hubDir := fs.String("hub", "", "hub root directory (multi-tenant mode; overrides -dir)")
-	defTenant := fs.String("default-tenant", "", "tenant the legacy un-prefixed routes serve (hub mode)")
-	defDataset := fs.String("default-dataset", "", "dataset the legacy un-prefixed routes serve (hub mode)")
-	maxOpen := fs.Int("max-open-stores", 0, "soft cap on simultaneously open shards, idle ones close LRU-first (hub mode, 0 = default)")
-	memBudget := fs.Int64("mem-budget", 0, "total bytes all shards' caches may hold together (hub mode, 0 = unlimited)")
+	defTenant := fs.String("default-tenant", "", "tenant the legacy un-prefixed routes serve")
+	defDataset := fs.String("default-dataset", "", "dataset the legacy un-prefixed routes serve")
+	maxOpen := fs.Int("max-open-stores", 0, "soft cap on simultaneously open shards, idle ones close LRU-first (with -hub, 0 = default)")
+	memBudget := fs.Int64("mem-budget", 0, "total bytes all shards' caches may hold together (with -hub, 0 = unlimited)")
 	cache := fs.Int("cache", 0, "summarize result cache entries (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently served requests; beyond it requests are shed with 429 (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline; expired work returns 503 (0 = none)")

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // parsedSample is one decoded exposition line.
@@ -15,12 +16,13 @@ type parsedSample struct {
 	value  float64
 }
 
-// Lint validates Prometheus text exposition output: every line parses,
-// every sample's family is declared with # HELP and # TYPE before its
-// first sample, no sample (name + label set) appears twice, and histogram
-// families have monotone cumulative buckets whose +Inf bucket equals
-// _count. Tests and the loadtest harness run it against GET /metrics so
-// the endpoint cannot silently drift out of format.
+// Lint validates Prometheus text exposition output: every line is valid
+// UTF-8 and parses, every sample's family is declared with # HELP and
+// # TYPE before its first sample, no sample (name + label set) appears
+// twice, and histogram families have monotone cumulative buckets whose
+// +Inf bucket equals _count. Tests and the loadtest harness run it
+// against GET /metrics so the endpoint cannot silently drift out of
+// format.
 func Lint(data []byte) error {
 	types := map[string]string{} // family name -> TYPE
 	helped := map[string]bool{}
@@ -29,6 +31,9 @@ func Lint(data []byte) error {
 
 	for ln, line := range strings.Split(string(data), "\n") {
 		lineNo := ln + 1
+		if !utf8.ValidString(line) {
+			return fmt.Errorf("line %d: not valid UTF-8", lineNo)
+		}
 		if line == "" {
 			continue
 		}

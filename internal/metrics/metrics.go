@@ -30,6 +30,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // validName is the Prometheus metric/label name charset.
@@ -129,6 +130,17 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return c.(*Counter)
 }
 
+// Each calls fn once per child with its label values (in label-name order,
+// invalid UTF-8 already replaced) and its current count, in no particular
+// order. It is how a reader derives its own view from the counters without
+// keeping a second copy of them.
+func (v *CounterVec) Each(fn func(labelValues []string, n int64)) {
+	v.f.children.Range(func(k, c any) bool {
+		fn(v.f.labelValues(k.(string)), c.(*Counter).Value())
+		return true
+	})
+}
+
 // Histogram is a fixed-bucket histogram: counts per upper bound plus a
 // running sum. Observations are atomically recorded.
 type Histogram struct {
@@ -218,14 +230,31 @@ func (r *Registry) NewCounterFunc(name, help string, labelNames []string, collec
 }
 
 // childKeySep joins label values in child keys. Label values are free
-// text, so the separator is a byte that cannot appear in valid UTF-8.
+// text, so the separator is a byte that cannot appear in valid UTF-8 —
+// and childKey makes every value valid UTF-8 before joining, replacing
+// invalid bytes with U+FFFD, so the exposition text is valid UTF-8 too and
+// a raw 0xff in a value can never split it into two labels.
 const childKeySep = "\xff"
 
 func (f *family) childKey(labelValues []string) string {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labelNames), len(labelValues)))
 	}
+	for i, lv := range labelValues {
+		if !utf8.ValidString(lv) {
+			labelValues = append([]string(nil), labelValues...) // the caller's slice stays as it was
+			labelValues[i] = strings.ToValidUTF8(lv, "\uFFFD")
+		}
+	}
 	return strings.Join(labelValues, childKeySep)
+}
+
+// labelValues splits a child key back into its label values.
+func (f *family) labelValues(key string) []string {
+	if len(f.labelNames) == 0 {
+		return nil
+	}
+	return strings.Split(key, childKeySep)
 }
 
 // WriteText renders every family in the Prometheus text exposition
@@ -282,10 +311,7 @@ func (f *family) renderInto(b *strings.Builder) {
 	})
 	sort.Slice(kids, func(i, j int) bool { return kids[i].key < kids[j].key })
 	for _, kid := range kids {
-		var lvs []string
-		if kid.key != "" {
-			lvs = strings.Split(kid.key, childKeySep)
-		}
+		lvs := f.labelValues(kid.key)
 		switch m := kid.m.(type) {
 		case *Counter:
 			writeSample(b, f.name, f.labelNames, lvs, "", 0, float64(m.Value()))

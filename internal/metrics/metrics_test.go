@@ -231,3 +231,83 @@ func TestValueUnlabeled(t *testing.T) {
 		t.Errorf("parseValue(+Inf) = %v, %v", v, err)
 	}
 }
+
+// TestInvalidUTF8LabelValues is the label-corruption regression test: a
+// label value that is not valid UTF-8 renders with U+FFFD in place of the
+// bad bytes, in exactly one sample with the right label split — a raw 0xff
+// used to be taken for the child-key separator and shift every later
+// label by one.
+func TestInvalidUTF8LabelValues(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("test_total", "t", "shard", "class")
+	v.With("a\xffb/ds", "4xx").Inc()
+	v.With("a�b/ds", "4xx").Inc() // the same child once sanitized
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if err := Lint([]byte(out)); err != nil {
+		t.Fatalf("rendered output fails lint: %v\n%s", err, out)
+	}
+	if want := "test_total{shard=\"a�b/ds\",class=\"4xx\"} 2\n"; !strings.HasSuffix(out, want) || strings.Count(out, "test_total{") != 1 {
+		t.Errorf("output = %q, want one sample %q", out, want)
+	}
+	var seen [][]string
+	v.Each(func(lv []string, n int64) {
+		if n != 2 {
+			t.Errorf("Each count = %d, want 2", n)
+		}
+		seen = append(seen, lv)
+	})
+	if len(seen) != 1 || seen[0][0] != "a�b/ds" || seen[0][1] != "4xx" {
+		t.Errorf("Each label values = %q", seen)
+	}
+}
+
+// TestLintRejectsInvalidUTF8 pins that exposition text which is not UTF-8
+// fails the lint, wherever the bad byte sits.
+func TestLintRejectsInvalidUTF8(t *testing.T) {
+	for _, text := range []string{
+		"# HELP x_total x\n# TYPE x_total counter\nx_total{a=\"\xff\"} 1\n",
+		"# HELP x_total x\xfe\n# TYPE x_total counter\nx_total 1\n",
+	} {
+		if err := Lint([]byte(text)); err == nil {
+			t.Errorf("lint accepted non-UTF-8 text %q", text)
+		}
+	}
+}
+
+// TestCounterVecEach pins the child enumeration: every child once, with its
+// label values and count; an empty value of a one-label family is one
+// empty label, not none.
+func TestCounterVecEach(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("test_total", "t", "k")
+	v.With("a").Add(3)
+	v.With("").Inc()
+	got := map[string]int64{}
+	v.Each(func(lv []string, n int64) {
+		if len(lv) != 1 {
+			t.Fatalf("Each label values = %q, want one", lv)
+		}
+		got[lv[0]] = n
+	})
+	if len(got) != 2 || got["a"] != 3 || got[""] != 1 {
+		t.Errorf("Each = %v, want a:3 and \"\":1", got)
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "test_total{k=\"\"} 1\n") {
+		t.Errorf("empty label value not rendered:\n%s", b.String())
+	}
+	unlabeled := r.NewCounterVec("test_plain_total", "t")
+	unlabeled.With().Inc()
+	unlabeled.Each(func(lv []string, n int64) {
+		if len(lv) != 0 || n != 1 {
+			t.Errorf("unlabeled Each = %q, %d", lv, n)
+		}
+	})
+}

@@ -246,39 +246,6 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	var codes []int
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sumBody, _ := json.Marshal(summarizeRequest{From: ids[0], To: ids[1], Target: "salary"})
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var resp *http.Response
-				var err error
-				switch i % 3 {
-				case 0:
-					resp, err = http.Get(base + "/healthz")
-				case 1:
-					resp, err = http.Get(base + "/versions")
-				default:
-					resp, err = http.Post(base+"/summarize", "application/json", bytes.NewReader(sumBody))
-				}
-				if err != nil {
-					// The drain has closed the listener; nothing more to send.
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				mu.Lock()
-				codes = append(codes, resp.StatusCode)
-				mu.Unlock()
-			}
-		}(i)
-	}
 
 	sseDrained := make(chan error, 1)
 	go func() {
@@ -319,12 +286,48 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		pollDrained <- nil
 	}()
 	// Both subscribers must be registered (and holding slots) before the
-	// drain begins, or the test would not exercise their shutdown path.
+	// drain begins, or the test would not exercise their shutdown path —
+	// and before the hammer starts, or a watcher could be shed with 429
+	// while the hammering clients hold every slot.
 	for deadline := time.Now().Add(10 * time.Second); srv.watchSubs.Load() < 2; {
 		if time.Now().After(deadline) {
 			t.Fatal("watch subscribers never registered")
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sumBody, _ := json.Marshal(summarizeRequest{From: ids[0], To: ids[1], Target: "salary"})
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var resp *http.Response
+				var err error
+				switch i % 3 {
+				case 0:
+					resp, err = http.Get(base + "/healthz")
+				case 1:
+					resp, err = http.Get(base + "/versions")
+				default:
+					resp, err = http.Post(base+"/summarize", "application/json", bytes.NewReader(sumBody))
+				}
+				if err != nil {
+					// The drain has closed the listener; nothing more to send.
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				mu.Lock()
+				codes = append(codes, resp.StatusCode)
+				mu.Unlock()
+			}
+		}(i)
 	}
 
 	time.Sleep(100 * time.Millisecond) // let the load build

@@ -138,16 +138,8 @@ func (lr *liveRegistry) lookup(key string) *liveShard {
 	return lr.shards[key]
 }
 
-// pumpStore drives the single-store commit feed into the live registry. It
-// exits when the store closes its subscription channel.
-func (s *Server) pumpStore(sub *store.Subscription) {
-	for note := range sub.C() {
-		s.onCommit(s.defTenant, s.defDataset, note.Version)
-	}
-}
-
 // pumpHub drives the hub-wide commit feed (every shard's commits, fanned in
-// by the hub) into the live registry.
+// by the hub) into the live registry. It exits when the hub's feed closes.
 func (s *Server) pumpHub(sub *store.HubSubscription) {
 	for note := range sub.C() {
 		s.onCommit(note.Tenant, note.Dataset, note.Version)
@@ -167,16 +159,11 @@ func (s *Server) onCommit(tenant, dataset string, v *store.Version) {
 	if ls == nil {
 		return // nobody is live on this dataset; first interest seeds from the head
 	}
-	st := s.store
-	if s.hub != nil {
-		var release func()
-		var err error
-		st, release, err = s.hub.AcquireExisting(tenant, dataset)
-		if err != nil {
-			return // evicted or closing; the next reader reseeds
-		}
-		defer release()
+	st, release, err := s.hub.AcquireExisting(tenant, dataset)
+	if err != nil {
+		return // evicted or closing; the next reader reseeds
 	}
+	defer release()
 	mode := ls.applyCommit(st, v)
 	s.metrics.maintenance.With(key, mode).Inc()
 }

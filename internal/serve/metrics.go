@@ -14,11 +14,11 @@ import (
 
 // Observability: every request — served, shed, or failed at shard
 // resolution — flows through one statusRecorder and is accounted exactly
-// once in Server.finish: per-shard status-class counters (ServingStats),
-// the Prometheus registry behind GET /metrics, and the structured request
-// log. The scrape-time half (store, hub, budget, cache gauges) is
-// collected live from Stats() snapshots, so /metrics needs no background
-// goroutine and is always current.
+// once in Server.finish: one count in the Prometheus registry behind
+// GET /metrics (which ServingStats and GET /stats read back), and a line in
+// the structured request log. The scrape-time half (store, hub, budget,
+// cache gauges) is collected live from Stats() snapshots, so /metrics
+// needs no background goroutine and is always current.
 
 // routeShed is the route label for requests rejected by the concurrency
 // limiter: they were shed before the mux could match a pattern.
@@ -128,7 +128,7 @@ func (s *Server) shardKeyForPath(path string) string {
 		return ""
 	}
 	// Legacy un-prefixed routes address the default dataset.
-	return s.defTenant + "/" + s.defDataset
+	return s.cfg.DefaultTenant + "/" + s.cfg.DefaultDataset
 }
 
 // serverMetrics is the live half of the /metrics surface: the families
@@ -181,7 +181,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.NewCounterFunc("charles_http_shed_total",
 		"requests shed with 429 by the concurrency limiter", nil,
 		func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(s.shed.Load())}}
+			return []metrics.Sample{{Value: float64(s.ServingStats().Shed)}}
 		})
 
 	// Summarize result cache.
@@ -202,8 +202,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return []metrics.Sample{{Value: float64(s.cache.Stats().Entries)}}
 		})
 
-	// Store gauges, one sample per shard. In hub mode the hub rollup is
-	// walked per scrape; single-store mode reports the default shard.
+	// Store gauges, one sample per open shard, from the hub rollup walked
+	// per scrape.
 	perStore := func(pick func(store.Stats) float64) func() []metrics.Sample {
 		return func() []metrics.Sample {
 			var out []metrics.Sample
@@ -241,50 +241,42 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return out
 		})
 
-	if s.hub != nil {
-		reg.NewGaugeFunc("charles_hub_open_shards", "stores currently open in the hub", nil,
-			func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(s.hub.Stats().OpenShards)}}
-			})
-		reg.NewGaugeFunc("charles_hub_budget_used_bytes",
-			"bytes currently charged against the shared cache memory budget", nil,
-			func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(s.hub.Stats().Budget.UsedBytes)}}
-			})
-		reg.NewGaugeFunc("charles_hub_budget_cap_bytes",
-			"shared cache memory budget cap (0 = unlimited)", nil,
-			func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(s.hub.Stats().Budget.CapBytes)}}
-			})
-		reg.NewCounterFunc("charles_hub_budget_evictions_total",
-			"cache entries evicted to stay under the shared memory budget", nil,
-			func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(s.hub.Stats().Budget.Evictions)}}
-			})
-		reg.NewCounterFunc("charles_hub_shard_ops_total",
-			"hub shard operations by kind (commit, read)",
-			[]string{"shard", "kind"}, func() []metrics.Sample {
-				var out []metrics.Sample
-				for _, sh := range s.hub.Stats().Shards {
-					key := sh.Tenant + "/" + sh.Dataset
-					out = append(out,
-						metrics.Sample{LabelValues: []string{key, "commit"}, Value: float64(sh.Commits)},
-						metrics.Sample{LabelValues: []string{key, "read"}, Value: float64(sh.Reads)})
-				}
-				return out
-			})
-	}
+	reg.NewGaugeFunc("charles_hub_open_shards", "stores currently open in the hub", nil,
+		func() []metrics.Sample {
+			return []metrics.Sample{{Value: float64(s.hub.Stats().OpenShards)}}
+		})
+	reg.NewGaugeFunc("charles_hub_budget_used_bytes",
+		"bytes currently charged against the shared cache memory budget", nil,
+		func() []metrics.Sample {
+			return []metrics.Sample{{Value: float64(s.hub.Stats().Budget.UsedBytes)}}
+		})
+	reg.NewGaugeFunc("charles_hub_budget_cap_bytes",
+		"shared cache memory budget cap (0 = unlimited)", nil,
+		func() []metrics.Sample {
+			return []metrics.Sample{{Value: float64(s.hub.Stats().Budget.CapBytes)}}
+		})
+	reg.NewCounterFunc("charles_hub_budget_evictions_total",
+		"cache entries evicted to stay under the shared memory budget", nil,
+		func() []metrics.Sample {
+			return []metrics.Sample{{Value: float64(s.hub.Stats().Budget.Evictions)}}
+		})
+	reg.NewCounterFunc("charles_hub_shard_ops_total",
+		"hub shard operations by kind (commit; per-shard reads are charles_http_requests_total)",
+		[]string{"shard", "kind"}, func() []metrics.Sample {
+			var out []metrics.Sample
+			for _, sh := range s.hub.Stats().Shards {
+				out = append(out, metrics.Sample{
+					LabelValues: []string{sh.Tenant + "/" + sh.Dataset, "commit"}, Value: float64(sh.Commits),
+				})
+			}
+			return out
+		})
 	return m
 }
 
 // storeStats snapshots per-shard store stats for the scrape-time
-// collectors: the hub rollup in hub mode, the one store otherwise.
+// collectors from the hub rollup.
 func (s *Server) storeStats() map[string]store.Stats {
-	if s.hub == nil {
-		return map[string]store.Stats{
-			s.defTenant + "/" + s.defDataset: s.store.Stats(),
-		}
-	}
 	hs := s.hub.Stats()
 	out := make(map[string]store.Stats, len(hs.Shards))
 	for _, sh := range hs.Shards {
@@ -314,14 +306,6 @@ func (s *Server) finish(rec *statusRecorder, r *http.Request, start time.Time, s
 	route := rec.route
 	if route == "" {
 		route = routeUnmatched
-	}
-	if shardKey != "" {
-		c := s.counters(shardKey)
-		c.requests.Add(1)
-		c.classes[class].Add(1)
-		if rec.shed {
-			c.shed.Add(1)
-		}
 	}
 	shardLabel := shardKey
 	if shardLabel == "" {

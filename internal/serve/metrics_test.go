@@ -307,58 +307,6 @@ func TestRequestLogGolden(t *testing.T) {
 	}
 }
 
-// mutexCounters replicates the pre-fix counter lookup — one exclusive
-// mutex around the map fetch on every request — as the benchmark
-// reference BenchmarkShardCounters pins the sync.Map win against.
-type mutexCounters struct {
-	mu sync.Mutex
-	m  map[string]*shardCounters
-}
-
-func (c *mutexCounters) counters(key string) *shardCounters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc, ok := c.m[key]
-	if !ok {
-		sc = &shardCounters{}
-		c.m[key] = sc
-	}
-	return sc
-}
-
-// benchKeys is a stable shard-key working set: a handful of hot shards,
-// as in production, where the map stops growing almost immediately.
-var benchKeys = [...]string{
-	"acme/payroll", "acme/sales", "globex/events", "globex/payroll",
-	"initech/tps", "initech/reports", "umbrella/labs", "umbrella/retail",
-}
-
-func BenchmarkShardCountersMutex(b *testing.B) {
-	c := &mutexCounters{m: map[string]*shardCounters{}}
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			c.counters(benchKeys[i%len(benchKeys)]).requests.Add(1)
-			i++
-		}
-	})
-}
-
-func BenchmarkShardCountersSyncMap(b *testing.B) {
-	st, err := store.Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewServer(st, 8)
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			s.counters(benchKeys[i%len(benchKeys)]).requests.Add(1)
-			i++
-		}
-	})
-}
-
 // TestMetricsStatsParity cross-checks the two observability surfaces:
 // the per-shard totals /stats reports must equal what /metrics exposes.
 func TestMetricsStatsParity(t *testing.T) {
@@ -393,5 +341,41 @@ func TestMetricsStatsParity(t *testing.T) {
 	}
 	if int64(metricTotal) != sh.Requests {
 		t.Errorf("metrics total %v != stats total %d", metricTotal, sh.Requests)
+	}
+}
+
+// TestMetricsInvalidUTF8ShardLabel is the label-corruption regression
+// test at the HTTP surface: a dataset path byte that is not UTF-8 must be
+// counted in exactly one charles_http_requests_total sample, with U+FFFD in
+// place of the byte and its own 4xx class, and GET /stats must report the
+// same shard key. scrape's lint also checks the text is valid UTF-8.
+func TestMetricsInvalidUTF8ShardLabel(t *testing.T) {
+	_, ts := newTestServer(t)
+	if resp, body := get(t, ts.URL+"/datasets/a%ffb/ds/versions"); resp.StatusCode/100 != 4 {
+		t.Fatalf("status %d, want 4xx: %s", resp.StatusCode, body)
+	}
+	const route = "/datasets/{tenant}/{ds}/versions"
+	var rows []string
+	for _, line := range strings.Split(string(scrape(t, ts.URL)), "\n") {
+		if strings.HasPrefix(line, `charles_http_requests_total{route="`+route+`"`) {
+			rows = append(rows, line)
+		}
+	}
+	want := `charles_http_requests_total{route="` + route + `",shard="a�b/ds",class="4xx"} 1`
+	if len(rows) != 1 || rows[0] != want {
+		t.Errorf("request samples = %q, want [%q]", rows, want)
+	}
+	resp, body := get(t, ts.URL+"/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats status %d", resp.StatusCode)
+	}
+	var stats struct {
+		Serving ServingStats `json:"serving"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Serving.Shards["a�b/ds"]; got.Requests != 1 || got.Status["4xx"] != 1 || len(got.Status) != 1 {
+		t.Errorf("stats shard a�b/ds = %+v, want 1 request, 4xx: 1 (all shards: %+v)", got, stats.Serving.Shards)
 	}
 }

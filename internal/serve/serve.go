@@ -5,8 +5,10 @@
 // singleflight deduplication (N identical in-flight requests run the
 // engine once).
 //
-// A server fronts either one Store (NewServer) or a multi-tenant Hub
-// (NewHubServer). Every data endpoint exists in two spellings:
+// A server fronts a multi-tenant Hub (NewHubServer). NewServer and
+// NewServerWith serve one Store as a hub of one dataset, the default one,
+// so every request takes the same path in both cases. Every data endpoint
+// exists in two spellings:
 //
 //	/datasets/{tenant}/{ds}/<route>   addresses one hub shard
 //	/<route>                          legacy alias for the default dataset
@@ -42,10 +44,10 @@
 // Allow header and the JSON error envelope.
 //
 // Every request is instrumented: a statusRecorder captures what was
-// answered, per-shard status-class counters and the /metrics registry are
-// bumped exactly once per request (shed 429s and shard-resolve failures
-// included), and an optional JSON-lines request log records method, route
-// pattern, shard, status, bytes, and duration.
+// answered, the /metrics registry counts it exactly once (shed 429s and
+// shard-resolve failures included) — the serving section of GET /stats is
+// read from the same counters — and an optional JSON-lines request log
+// records method, route pattern, shard, status, bytes, and duration.
 package serve
 
 import (
@@ -97,9 +99,9 @@ type Config struct {
 	// (rounded up to whole seconds; 0 = 1s).
 	RetryAfter time.Duration
 	// DefaultTenant and DefaultDataset name the shard the legacy
-	// (un-prefixed) routes address in hub mode; both default to "default".
-	// A single-store server also answers /datasets routes under these
-	// names.
+	// (un-prefixed) routes address; both default to "default". A server
+	// over one store serves it under these names and knows no other
+	// dataset.
 	DefaultTenant  string
 	DefaultDataset string
 	// RequestLog, when non-nil, receives one JSON line per completed
@@ -108,26 +110,21 @@ type Config struct {
 	RequestLog io.Writer
 }
 
-// Server is the HTTP front end over one Store or a Hub of them. Stores are
-// safe for concurrent use and the engine runs outside the store's lock, so
-// any number of requests proceed in parallel; identical summarize requests
-// are collapsed by the cache (keyed per shard).
+// Server is the HTTP front end over a Hub of stores. Stores are safe for
+// concurrent use and the engine runs outside the store's lock, so any
+// number of requests proceed in parallel; identical summarize requests are
+// collapsed by the cache (keyed per shard).
 type Server struct {
-	store *store.Store // single-store mode (nil in hub mode)
-	hub   *store.Hub   // hub mode (nil in single-store mode)
+	hub   *store.Hub
 	cache *resultCache
 	mux   *http.ServeMux
 	cfg   Config
 
-	defTenant  string
-	defDataset string
-
 	slots    chan struct{} // nil = unlimited
 	inflight atomic.Int64
-	shed     atomic.Int64
 
 	// live is the commit-driven timeline registry (see live.go); the pump
-	// goroutine feeds it from the store/hub commit subscription. watchSubs
+	// goroutine feeds it from the hub's commit subscription. watchSubs
 	// counts active /timeline/watch subscribers (SSE + blocked long-polls).
 	// drain is closed by BeginDrain so watch handlers end promptly inside
 	// the graceful-drain window.
@@ -142,38 +139,16 @@ type Server struct {
 	testDelay func(*http.Request)
 	stepHook  func()
 
-	// perShard maps tenant/ds -> *shardCounters. A sync.Map because this
-	// is on every request's path and the shard set stabilizes quickly:
-	// after warmup every access is a lock-free read (the previous
-	// exclusive-mutex map serialized all requests on one lock just to
-	// fetch an existing pointer — see BenchmarkShardCounters).
-	perShard sync.Map
-
 	metrics *serverMetrics
 	reqLog  *requestLogger // nil = request logging disabled
 }
 
-// shardCounters is one shard's serve-layer request accounting, bumped
-// atomically once per request in Server.finish. requests counts all
-// traffic attributed to the shard — including requests shed with 429 and
-// shard-resolve failures (404 unknown dataset, 400 invalid name), which
-// previously bypassed the counters entirely and made ServingStats
-// undercount under overload. classes[i] counts responses with status
-// i00–i99 (classes[0] collects out-of-range codes).
-type shardCounters struct {
-	requests atomic.Int64
-	shed     atomic.Int64
-	classes  [6]atomic.Int64
-}
-
-// shardRef is one request's resolved shard: the store to serve from, the
-// names that key its cache entries and counters, and the release that
-// unpins it from the hub (a no-op in single-store mode).
+// shardRef is one request's resolved shard: the store to serve from and
+// the names that key its cache entries and counters.
 type shardRef struct {
 	tenant  string
 	dataset string
 	st      *store.Store
-	release func()
 }
 
 // cacheKeyPrefix namespaces result-cache keys per shard, so two datasets'
@@ -196,20 +171,15 @@ func NewServer(st *store.Store, cacheSize int) *Server {
 	return NewServerWith(st, Config{CacheSize: cacheSize})
 }
 
-// NewServerWith wraps st in an HTTP handler with the full serving config.
+// NewServerWith serves st with the full serving config, as a hub of one
+// dataset: the default one, under cfg's default names. Commits made
+// directly on st reach the live timelines too.
 func NewServerWith(st *store.Store, cfg Config) *Server {
-	return newServer(st, nil, cfg)
+	cfg = cfg.withDefaults()
+	return NewHubServer(store.HubOf(st, cfg.DefaultTenant, cfg.DefaultDataset), cfg)
 }
 
-// NewHubServer serves a multi-tenant Hub: every dataset is addressable
-// under /datasets/{tenant}/{ds}/..., the legacy routes alias the default
-// dataset, and GET /stats rolls up per-shard serving and store counters
-// plus the hub's shared memory budget.
-func NewHubServer(h *store.Hub, cfg Config) *Server {
-	return newServer(nil, h, cfg)
-}
-
-func newServer(st *store.Store, h *store.Hub, cfg Config) *Server {
+func (cfg Config) withDefaults() Config {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = DefaultCacheSize
 	}
@@ -219,11 +189,19 @@ func newServer(st *store.Store, h *store.Hub, cfg Config) *Server {
 	if cfg.DefaultDataset == "" {
 		cfg.DefaultDataset = DefaultDatasetName
 	}
+	return cfg
+}
+
+// NewHubServer serves a multi-tenant Hub: every dataset is addressable
+// under /datasets/{tenant}/{ds}/..., the legacy routes alias the default
+// dataset, and GET /stats rolls up per-shard serving and store counters
+// plus the hub's shared memory budget.
+func NewHubServer(h *store.Hub, cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
-		store: st, hub: h,
-		cache:     newResultCache(cfg.CacheSize),
-		cfg:       cfg,
-		defTenant: cfg.DefaultTenant, defDataset: cfg.DefaultDataset,
+		hub:    h,
+		cache:  newResultCache(cfg.CacheSize),
+		cfg:    cfg,
 		reqLog: newRequestLogger(cfg.RequestLog),
 		live:   newLiveRegistry(),
 		drain:  make(chan struct{}),
@@ -232,14 +210,9 @@ func newServer(st *store.Store, h *store.Hub, cfg Config) *Server {
 	if cfg.MaxInFlight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInFlight)
 	}
-	// The commit pump: one goroutine bridging the storage layer's commit
-	// feed into the live-timeline registry. It exits when the store (or
-	// hub) is closed — Close closes the subscription channel.
-	if h != nil {
-		go s.pumpHub(h.Subscribe(0))
-	} else {
-		go s.pumpStore(st.Subscribe(0))
-	}
+	// The commit pump: one goroutine bridging the hub's commit feed into
+	// the live-timeline registry. It exits when the hub's feed closes.
+	go s.pumpHub(h.Subscribe(0))
 	mux := http.NewServeMux()
 	// Each dataset route is registered twice: under the explicit
 	// /datasets/{tenant}/{ds} prefix and at the legacy root (which aliases
@@ -310,72 +283,32 @@ func newServer(st *store.Store, h *store.Hub, cfg Config) *Server {
 	return s
 }
 
-// resolve maps a request onto its shard: the {tenant}/{ds} path values
-// when present, the configured default dataset on legacy routes. In hub
-// mode the shard is acquired (pinned) for the duration of the request; on
-// read routes an unknown dataset is a 404, never a freshly created
-// directory.
-func (s *Server) resolve(r *http.Request, commit bool) (*shardRef, error) {
-	tenant, dataset := r.PathValue("tenant"), r.PathValue("ds")
-	if tenant == "" && dataset == "" {
-		tenant, dataset = s.defTenant, s.defDataset
-	}
-	if s.hub == nil {
-		if tenant != s.defTenant || dataset != s.defDataset {
-			return nil, fmt.Errorf("%w: %s/%s (single-dataset server)", store.ErrUnknownDataset, tenant, dataset)
-		}
-		return &shardRef{tenant: tenant, dataset: dataset, st: s.store, release: func() {}}, nil
-	}
-	var (
-		st      *store.Store
-		release func()
-		err     error
-	)
-	if commit {
-		st, release, err = s.hub.Acquire(tenant, dataset)
-	} else {
-		st, release, err = s.hub.AcquireExisting(tenant, dataset)
-		if err == nil {
-			s.hub.MarkRead(tenant, dataset)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &shardRef{tenant: tenant, dataset: dataset, st: st, release: release}, nil
-}
-
-// counters returns (creating on first use) one shard's serve counters.
-// Lock-free on the hot path: after a shard's first request every call is
-// a sync.Map read, so concurrent requests to different (or the same)
-// shards never serialize just to fetch an existing counter struct.
-func (s *Server) counters(key string) *shardCounters {
-	if c, ok := s.perShard.Load(key); ok {
-		return c.(*shardCounters)
-	}
-	c, _ := s.perShard.LoadOrStore(key, &shardCounters{})
-	return c.(*shardCounters)
-}
-
 // onShard adapts a shard handler into an http.HandlerFunc: resolve the
-// shard, pin it for the request, and tag the request's recorder with the
-// shard key — before resolution, so a failed resolve (unknown dataset,
-// invalid name) is still attributed to the shard it addressed when
-// Server.finish counts the request.
+// request's shard — the {tenant}/{ds} path values when present, the
+// default dataset on legacy routes — pin it in the hub for the request,
+// and tag the request's recorder with the shard key. The tag comes before
+// the acquire, so a failed resolve (unknown dataset, invalid name) is
+// still attributed to the shard it addressed when Server.finish counts
+// the request. commit routes may create the shard; on read routes an
+// unknown dataset is a 404, never a freshly created directory.
 func (s *Server) onShard(commit bool, h func(*shardRef, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	acquire := s.hub.AcquireExisting
+	if commit {
+		acquire = s.hub.Acquire
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant, dataset := r.PathValue("tenant"), r.PathValue("ds")
 		if tenant == "" && dataset == "" {
-			tenant, dataset = s.defTenant, s.defDataset
+			tenant, dataset = s.cfg.DefaultTenant, s.cfg.DefaultDataset
 		}
 		setShard(w, tenant+"/"+dataset)
-		sh, err := s.resolve(r, commit)
+		st, release, err := acquire(tenant, dataset)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		defer sh.release()
-		h(sh, w, r)
+		defer release()
+		h(&shardRef{tenant: tenant, dataset: dataset, st: st}, w, r)
 	}
 }
 
@@ -386,7 +319,7 @@ func (s *Server) onShard(commit bool, h func(*shardRef, http.ResponseWriter, *ht
 // probes, and scrapes. The exemption is trailing-slash tolerant: an
 // orchestrator probing /healthz/ must never be shed for the extra slash.
 // Every path through here — exempt, shed, or served — funnels into one
-// finish call for per-shard counters, /metrics, and the request log.
+// finish call for the /metrics counters and the request log.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	start := time.Now()
@@ -409,7 +342,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		default:
 			// Shed immediately: no queue means overload cannot pile up
 			// latent work the client has long since abandoned.
-			s.shed.Add(1)
 			retry := s.cfg.RetryAfter
 			if retry <= 0 {
 				retry = time.Second
@@ -471,27 +403,31 @@ type ServingStats struct {
 	Shards      map[string]ShardServingStats `json:"shards,omitempty"`
 }
 
-// ServingStats snapshots the load-shedding and per-shard counters.
+// ServingStats snapshots the load-shedding and per-shard counters, summed
+// from charles_http_requests_total: every request is counted there once,
+// and this is a view of it (shed requests are its "(shed)" route).
 func (s *Server) ServingStats() ServingStats {
-	st := ServingStats{
-		MaxInFlight: s.cfg.MaxInFlight,
-		InFlight:    s.inflight.Load(),
-		Shed:        s.shed.Load(),
-	}
+	st := ServingStats{MaxInFlight: s.cfg.MaxInFlight, InFlight: s.inflight.Load()}
 	shards := map[string]ShardServingStats{}
-	s.perShard.Range(func(k, v any) bool {
-		c := v.(*shardCounters)
-		sss := ShardServingStats{Requests: c.requests.Load(), Shed: c.shed.Load()}
-		for i := range c.classes {
-			if n := c.classes[i].Load(); n > 0 {
-				if sss.Status == nil {
-					sss.Status = map[string]int64{}
-				}
-				sss.Status[classNames[i]] = n
-			}
+	s.metrics.requests.Each(func(lv []string, n int64) {
+		route, shard, class := lv[0], lv[1], lv[2]
+		shed := route == routeShed
+		if shed {
+			st.Shed += n
 		}
-		shards[k.(string)] = sss
-		return true
+		if shard == noShardLabel || n == 0 {
+			return
+		}
+		sss := shards[shard]
+		sss.Requests += n
+		if shed {
+			sss.Shed += n
+		}
+		if sss.Status == nil {
+			sss.Status = map[string]int64{}
+		}
+		sss.Status[class] += n
+		shards[shard] = sss
 	})
 	if len(shards) > 0 {
 		st.Shards = shards
@@ -577,13 +513,10 @@ func (s *Server) handleCommit(sh *shardRef, w http.ResponseWriter, r *http.Reque
 		writeError(w, err)
 		return
 	}
-	v, err := sh.st.Commit(t, req.Parent, req.Message)
+	v, err := s.hub.Commit(sh.tenant, sh.dataset, t, req.Parent, req.Message)
 	if err != nil {
 		writeError(w, err)
 		return
-	}
-	if s.hub != nil {
-		s.hub.MarkCommit(sh.tenant, sh.dataset)
 	}
 	writeJSON(w, http.StatusOK, v)
 }
@@ -831,15 +764,8 @@ func (s *Server) handleSummarize(sh *shardRef, w http.ResponseWriter, r *http.Re
 	})
 }
 
-// handleDatasets lists the hub's tenant/dataset pairs. A single-store
-// server reports its one (default) dataset.
+// handleDatasets lists the hub's tenant/dataset pairs.
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	if s.hub == nil {
-		writeJSON(w, http.StatusOK, []store.DatasetRef{
-			{Tenant: s.defTenant, Dataset: s.defDataset},
-		})
-		return
-	}
 	refs, err := s.hub.Datasets()
 	if err != nil {
 		writeError(w, err)
@@ -853,31 +779,22 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 
 // statsResponse is the GET /stats body: the summarize-cache counters, the
 // serving lifecycle (in-flight / shed / per-shard request) counters, and
-// the storage side — the single store's counters, or in hub mode the full
-// hub rollup (per-shard store stats, commit/read counters, shared memory
+// the hub rollup (per-shard store stats and commit counters, shared memory
 // budget) with the default shard mirrored into "store" for legacy readers.
 type statsResponse struct {
 	Stats
 	Store   store.Stats     `json:"store"`
 	Serving ServingStats    `json:"serving"`
-	Hub     *store.HubStats `json:"hub,omitempty"`
+	Hub     *store.HubStats `json:"hub"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	resp := statsResponse{
-		Stats:   s.cache.Stats(),
-		Serving: s.ServingStats(),
-	}
-	if s.hub == nil {
-		resp.Store = s.store.Stats()
-	} else {
-		hs := s.hub.Stats()
-		resp.Hub = &hs
-		for _, sh := range hs.Shards {
-			if sh.Tenant == s.defTenant && sh.Dataset == s.defDataset {
-				resp.Store = sh.Store
-				break
-			}
+	hs := s.hub.Stats()
+	resp := statsResponse{Stats: s.cache.Stats(), Serving: s.ServingStats(), Hub: &hs}
+	for _, sh := range hs.Shards {
+		if sh.Tenant == s.cfg.DefaultTenant && sh.Dataset == s.cfg.DefaultDataset {
+			resp.Store = sh.Store
+			break
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

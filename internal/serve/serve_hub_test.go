@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"testing"
 
 	"charles/internal/gen"
@@ -252,5 +254,60 @@ func TestHubServerTimelinePerShard(t *testing.T) {
 		if tl.Steps != len(chain)-1 || len(tl.Targets) != 1 {
 			t.Fatalf("%s timeline = %d steps / %d targets", tenant, tl.Steps, len(tl.Targets))
 		}
+	}
+}
+
+// TestSingleStoreServerIsHubOfOne pins that a server over one store (as
+// charles-serve -dir runs) knows exactly one dataset: reads and commits
+// addressed to any other name answer 404, GET /datasets lists only the
+// default dataset, and no request creates anything next to the store.
+func TestSingleStoreServerIsHubOfOne(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ts := httptest.NewServer(NewServerWith(st, Config{}))
+	defer ts.Close()
+	d1, _ := gen.Toy()
+	csv := csvOf(t, d1)
+	commit(t, ts.URL, csv, "", "2016")
+	listing := func() []string {
+		var names []string
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := listing()
+
+	if resp, body := get(t, ts.URL+"/datasets/other/ds/versions"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET other dataset: status %d, want 404: %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, ts.URL+"/datasets/other/ds/versions", commitRequest{CSV: csv, Key: []string{"name"}})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST other dataset: status %d, want 404: %s", resp.StatusCode, body)
+	}
+	resp, body = get(t, ts.URL+"/datasets")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("datasets status %d", resp.StatusCode)
+	}
+	var refs []store.DatasetRef
+	if err := json.Unmarshal(body, &refs); err != nil {
+		t.Fatal(err)
+	}
+	if want := []store.DatasetRef{{Tenant: "default", Dataset: "default"}}; !reflect.DeepEqual(refs, want) {
+		t.Errorf("datasets = %+v, want %+v", refs, want)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Errorf("store dir changed from %v to %v", before, after)
+	}
+	if n := len(st.Log()); n != 1 {
+		t.Errorf("store holds %d versions, want 1", n)
 	}
 }

@@ -67,17 +67,18 @@ type Hub struct {
 	fs     vfs.FS
 	budget *Budget // shared across every shard's caches; nil = unlimited
 
+	// only marks a hub built by HubOf: its one shard, registered at
+	// construction, is the only name it admits.
+	only bool
+
 	mu     sync.Mutex
 	shards map[string]*shard // key = tenant + "/" + dataset
 	ll     *list.List        // *shard recency; front = most recently used
 	closed bool
 
-	// Hub-level commit-notification state (subscribe.go): the fan-in of
-	// every open shard's store feed. Guarded by its own subMu — delivery
-	// never runs under the hub lock.
-	subMu      sync.Mutex
-	subs       map[*HubSubscription]struct{}
-	closedSubs bool
+	// feed is the hub-level commit feed (subscribe.go): the fan-in of every
+	// open shard's store feed. Delivery never runs under the hub lock.
+	feed fanout[HubCommitNote]
 }
 
 // shard is one open store plus its hub bookkeeping. refs counts in-flight
@@ -96,7 +97,6 @@ type shard struct {
 	el      *list.Element // position in Hub.ll (guarded by Hub.mu)
 	refs    int           // guarded by Hub.mu
 	commits atomic.Int64  // successful commits through Hub.Commit
-	reads   atomic.Int64  // read-side operations through hub helpers
 }
 
 // OpenHub opens (creating if needed) a hub rooted at dir with defaults.
@@ -126,6 +126,27 @@ func OpenHubWith(dir string, opts HubOptions) (*Hub, error) {
 		shards: map[string]*shard{},
 		ll:     list.New(),
 	}, nil
+}
+
+// HubOf wraps an open store as a hub of one dataset, tenant/dataset: the
+// only name it admits. Acquires and commits addressed to any other name
+// fail with ErrUnknownDataset and create nothing. Commits made directly on
+// st reach the hub feed, which closes when st is closed. The hub charges
+// st's own memory budget; closing the hub closes st.
+func HubOf(st *Store, tenant, dataset string) *Hub {
+	h := &Hub{
+		opts:   HubOptions{MaxOpen: 1},
+		budget: st.opts.Budget,
+		only:   true,
+		shards: map[string]*shard{},
+		ll:     list.New(),
+	}
+	sh := &shard{key: tenant + "/" + dataset, tenant: tenant, dataset: dataset, ready: make(chan struct{}), st: st}
+	close(sh.ready)
+	sh.el = h.ll.PushFront(sh)
+	h.shards[sh.key] = sh
+	go h.forwardShard(sh, st.Subscribe(0))
+	return h
 }
 
 // validateName admits path-safe tenant/dataset components: ASCII letters,
@@ -178,11 +199,13 @@ func (h *Hub) AcquireExisting(tenant, dataset string) (*Store, func(), error) {
 }
 
 func (h *Hub) acquire(tenant, dataset string, create bool) (*shard, error) {
-	if err := validateName(tenant); err != nil {
-		return nil, err
-	}
-	if err := validateName(dataset); err != nil {
-		return nil, err
+	if !h.only {
+		if err := validateName(tenant); err != nil {
+			return nil, err
+		}
+		if err := validateName(dataset); err != nil {
+			return nil, err
+		}
 	}
 	key := tenant + "/" + dataset
 	var (
@@ -201,6 +224,10 @@ func (h *Hub) acquire(tenant, dataset string, create bool) (*shard, error) {
 			existing.refs++
 			h.ll.MoveToFront(existing.el)
 			sh = existing
+			return
+		}
+		if h.only {
+			errOut = fmt.Errorf("%w: %s/%s", ErrUnknownDataset, tenant, dataset)
 			return
 		}
 		sh = &shard{key: key, tenant: tenant, dataset: dataset, refs: 1, ready: make(chan struct{})}
@@ -231,7 +258,7 @@ func (h *Hub) acquire(tenant, dataset string, create bool) (*shard, error) {
 		// forwarder exits when the shard store is closed (idle eviction or
 		// hub shutdown closes the subscription channel); a re-opened shard
 		// spawns a fresh one.
-		go h.forwardShard(sh.tenant, sh.dataset, sh.st.Subscribe(0))
+		go h.forwardShard(sh, sh.st.Subscribe(0))
 		h.evictIdle()
 		return sh, nil
 	}
@@ -334,31 +361,6 @@ func (h *Hub) Commit(tenant, dataset string, t *table.Table, parent, message str
 	return v, nil
 }
 
-// MarkRead bumps the shard's read counter (the serve layer calls it once
-// per read-side request it resolves to this shard).
-func (h *Hub) MarkRead(tenant, dataset string) {
-	func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if sh, ok := h.shards[tenant+"/"+dataset]; ok {
-			sh.reads.Add(1)
-		}
-	}()
-}
-
-// MarkCommit bumps the shard's commit counter (the serve layer calls it
-// after a successful commit through an acquired shard; Hub.Commit counts
-// its own).
-func (h *Hub) MarkCommit(tenant, dataset string) {
-	func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if sh, ok := h.shards[tenant+"/"+dataset]; ok {
-			sh.commits.Add(1)
-		}
-	}()
-}
-
 // DatasetRef names one dataset in the hub.
 type DatasetRef struct {
 	Tenant  string `json:"tenant"`
@@ -424,7 +426,6 @@ type ShardStats struct {
 	Dataset string `json:"dataset"`
 	Refs    int    `json:"refs"`
 	Commits int64  `json:"commits"`
-	Reads   int64  `json:"reads"`
 	Store   Stats  `json:"store"`
 }
 
@@ -464,8 +465,8 @@ func (h *Hub) Stats() HubStats {
 		}
 		ss := ShardStats{
 			Tenant: sh.tenant, Dataset: sh.dataset,
-			Commits: sh.commits.Load(), Reads: sh.reads.Load(),
-			Store: sh.st.Stats(),
+			Commits: sh.commits.Load(),
+			Store:   sh.st.Stats(),
 		}
 		func() {
 			h.mu.Lock()
@@ -558,6 +559,6 @@ func (h *Hub) Close() error {
 	for _, st := range victims {
 		st.Close()
 	}
-	h.closeHubSubs()
+	h.feed.closeAll()
 	return nil
 }

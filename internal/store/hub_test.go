@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -586,5 +587,62 @@ func TestStoreCloseRejectsOps(t *testing.T) {
 	}
 	if _, err := s.GC(); !errors.Is(err, ErrStoreClosed) {
 		t.Errorf("GC: %v", err)
+	}
+}
+
+// TestHubOfAdmitsOneName pins the namespace of a hub of one: its one
+// dataset is acquired and committed to like any shard, and every other
+// name — invalid ones included — is ErrUnknownDataset for reads and
+// commits alike, with nothing created.
+func TestHubOfAdmitsOneName(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := HubOf(s, "default", "default")
+	snaps := fuzzChain(t, 2, 5)
+	v, err := h.Commit("default", "default", snaps[0], "", "via hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, release, err := h.AcquireExisting("default", "default")
+	if err != nil || got != s {
+		t.Fatalf("AcquireExisting(default) = %p, %v; want the wrapped store", got, err)
+	}
+	release()
+	if shardCommits(h, "default", "default") != 1 {
+		t.Errorf("commit counter = %d, want 1", shardCommits(h, "default", "default"))
+	}
+	for _, name := range [][2]string{{"other", "ds"}, {"default", "other"}, {"..", "x"}} {
+		if _, _, err := h.AcquireExisting(name[0], name[1]); !errors.Is(err, ErrUnknownDataset) {
+			t.Errorf("AcquireExisting(%s/%s) err = %v, want ErrUnknownDataset", name[0], name[1], err)
+		}
+		if _, _, err := h.Acquire(name[0], name[1]); !errors.Is(err, ErrUnknownDataset) {
+			t.Errorf("Acquire(%s/%s) err = %v, want ErrUnknownDataset", name[0], name[1], err)
+		}
+		if _, err := h.Commit(name[0], name[1], snaps[1], "", "elsewhere"); !errors.Is(err, ErrUnknownDataset) {
+			t.Errorf("Commit(%s/%s) err = %v, want ErrUnknownDataset", name[0], name[1], err)
+		}
+	}
+	refs, err := h.Datasets()
+	if err != nil || len(refs) != 1 || refs[0] != (DatasetRef{Tenant: "default", Dataset: "default"}) {
+		t.Fatalf("Datasets = %+v, %v; want only default/default", refs, err)
+	}
+	if hs := h.Stats(); hs.OpenShards != 1 || len(hs.Shards) != 1 || hs.Shards[0].Store.Versions != 1 {
+		t.Errorf("hub stats = %+v, want the one shard with 1 version", hs)
+	}
+	if head, err := s.Head(); err != nil || head.ID != v.ID {
+		t.Errorf("store head = %v, %v; want %s", head, err, v.ID)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == "other" || e.Name() == "default" {
+			t.Errorf("hub of one created %s under the store dir", e.Name())
+		}
 	}
 }

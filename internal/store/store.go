@@ -170,12 +170,9 @@ type Store struct {
 	parses  atomic.Int64            // CSV parses performed (cache misses)
 	closed  atomic.Bool             // set by Close; guard() rejects further ops
 
-	// Commit-notification state (subscribe.go). subMu is independent of mu:
-	// publishCommit runs after Commit's exclusive section, and delivery is
-	// non-blocking, so subscribers can never stall a committer.
-	subMu      sync.Mutex
-	subs       map[*Subscription]struct{}
-	closedSubs bool // set by closeSubs; further Subscribes get a closed channel
+	// feed is the commit-notification fan-out (subscribe.go), published to
+	// after Commit's exclusive section.
+	feed fanout[CommitNote]
 
 	// testCommitHook, when set (package tests only), runs during Commit's
 	// off-lock encode phase — the seam the cross-shard concurrency pin
@@ -270,7 +267,7 @@ func (s *Store) Close() error {
 	s.blobs.disable()
 	s.changes.disable()
 	s.results.disable()
-	s.closeSubs()
+	s.feed.closeAll()
 	return nil
 }
 
@@ -500,7 +497,7 @@ func (s *Store) Commit(t *table.Table, parent, message string) (*Version, error)
 	// the phase-1 early return and the phase-3 re-check) notify nobody, so
 	// subscribers see each version id at most once.
 	if isNew {
-		s.publishCommit(out)
+		s.feed.publish(CommitNote{Version: out})
 	}
 	return out, nil
 }

@@ -9,6 +9,7 @@
 package store
 
 import (
+	"sync"
 	"sync/atomic"
 )
 
@@ -24,95 +25,6 @@ type CommitNote struct {
 	Version *Version
 }
 
-// Subscription is one subscriber's handle on a Store's commit feed. Receive
-// from C(); Close when done. The channel is closed by Close and by
-// Store.Close, so ranging over C() terminates at shutdown.
-type Subscription struct {
-	st      *Store
-	ch      chan CommitNote
-	dropped atomic.Int64
-}
-
-// C returns the note channel. Notes arrive in commit order; under
-// slow-subscriber coalescing some may be dropped (count via Dropped).
-func (sub *Subscription) C() <-chan CommitNote { return sub.ch }
-
-// Dropped reports how many notes were discarded because the subscriber's
-// buffer was full. Any nonzero value means the feed has gaps and the
-// consumer should resync from the store head.
-func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
-
-// Close detaches the subscription and closes its channel. Idempotent, and
-// safe to race with Store.Close.
-func (sub *Subscription) Close() {
-	sub.st.subMu.Lock()
-	defer sub.st.subMu.Unlock()
-	if _, ok := sub.st.subs[sub]; ok {
-		delete(sub.st.subs, sub)
-		close(sub.ch)
-	}
-}
-
-// Subscribe registers a commit-notification subscriber with the given
-// channel capacity (<= 0 uses DefaultSubscribeBuffer). Subscribing to a
-// closed store returns a subscription whose channel is already closed.
-func (s *Store) Subscribe(buf int) *Subscription {
-	if buf <= 0 {
-		buf = DefaultSubscribeBuffer
-	}
-	sub := &Subscription{st: s, ch: make(chan CommitNote, buf)}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.closedSubs {
-		close(sub.ch)
-		return sub
-	}
-	if s.subs == nil {
-		s.subs = make(map[*Subscription]struct{})
-	}
-	s.subs[sub] = struct{}{}
-	return sub
-}
-
-// closeSubs closes every live subscription; called by Store.Close.
-func (s *Store) closeSubs() {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for sub := range s.subs {
-		close(sub.ch)
-	}
-	s.subs = nil
-	s.closedSubs = true
-}
-
-// publishCommit fans a freshly registered version out to every subscriber.
-// Called by Commit after the exclusive lock is released, so a slow consumer
-// can never extend the critical section. Every send is non-blocking: when a
-// subscriber's buffer is full its oldest pending note is dropped to make
-// room (coalescing), and if the send still cannot proceed the new note is
-// dropped instead — either way the committer never waits.
-func (s *Store) publishCommit(v *Version) {
-	note := CommitNote{Version: v}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for sub := range s.subs {
-		select {
-		case sub.ch <- note:
-		default:
-			select {
-			case <-sub.ch:
-				sub.dropped.Add(1)
-			default:
-			}
-			select {
-			case sub.ch <- note:
-			default:
-				sub.dropped.Add(1)
-			}
-		}
-	}
-}
-
 // HubCommitNote is one hub-level commit event: which shard committed, and
 // the new version. The hub feed is the fan-in of every open shard's store
 // feed, so one subscription observes commits across all tenants/datasets.
@@ -122,68 +34,93 @@ type HubCommitNote struct {
 	Version *Version
 }
 
-// HubSubscription is one subscriber's handle on a Hub's commit feed.
-type HubSubscription struct {
-	h       *Hub
-	ch      chan HubCommitNote
+// Subscription is one subscriber's handle on a Store's commit feed, and
+// HubSubscription on a Hub's. Receive from C(); Close when done. The
+// channel is closed by Close and by the store's (or hub's) Close, so
+// ranging over C() terminates at shutdown.
+type (
+	Subscription    = subscription[CommitNote]
+	HubSubscription = subscription[HubCommitNote]
+)
+
+// subscription is one subscriber of a fanout.
+type subscription[N any] struct {
+	f       *fanout[N]
+	ch      chan N
 	dropped atomic.Int64
 }
 
-// C returns the note channel (closed by Close and by Hub.Close).
-func (sub *HubSubscription) C() <-chan HubCommitNote { return sub.ch }
+// C returns the note channel. Notes arrive in commit order; under
+// slow-subscriber coalescing some may be dropped (count via Dropped).
+func (sub *subscription[N]) C() <-chan N { return sub.ch }
 
-// Dropped reports notes discarded under slow-subscriber coalescing.
-func (sub *HubSubscription) Dropped() int64 { return sub.dropped.Load() }
+// Dropped reports how many notes were discarded because the subscriber's
+// buffer was full. Any nonzero value means the feed has gaps and the
+// consumer should resync from the store head.
+func (sub *subscription[N]) Dropped() int64 { return sub.dropped.Load() }
 
-// Close detaches the subscription and closes its channel. Idempotent.
-func (sub *HubSubscription) Close() {
-	sub.h.subMu.Lock()
-	defer sub.h.subMu.Unlock()
-	if _, ok := sub.h.subs[sub]; ok {
-		delete(sub.h.subs, sub)
+// Close detaches the subscription and closes its channel. Idempotent, and
+// safe to race with the feed's own close.
+func (sub *subscription[N]) Close() {
+	sub.f.mu.Lock()
+	defer sub.f.mu.Unlock()
+	if _, ok := sub.f.subs[sub]; ok {
+		delete(sub.f.subs, sub)
 		close(sub.ch)
 	}
 }
 
-// Subscribe registers a hub-wide commit subscriber (buf <= 0 uses
-// DefaultSubscribeBuffer). Notes carry the tenant/dataset of the shard that
-// committed. Subscribing to a closed hub returns an already-closed channel.
-func (h *Hub) Subscribe(buf int) *HubSubscription {
+// fanout is one commit feed's subscriber set: the Store's (N = CommitNote)
+// and the Hub's (N = HubCommitNote). Its mutex is independent of the
+// owner's locks, and delivery never blocks, so a subscriber can never stall
+// a committer.
+type fanout[N any] struct {
+	mu     sync.Mutex
+	subs   map[*subscription[N]]struct{}
+	closed bool // set by closeAll; further subscribes get a closed channel
+}
+
+// subscribe registers a subscriber with the given channel capacity (<= 0
+// uses DefaultSubscribeBuffer). Subscribing to a closed feed returns a
+// subscription whose channel is already closed.
+func (f *fanout[N]) subscribe(buf int) *subscription[N] {
 	if buf <= 0 {
 		buf = DefaultSubscribeBuffer
 	}
-	sub := &HubSubscription{h: h, ch: make(chan HubCommitNote, buf)}
-	h.subMu.Lock()
-	defer h.subMu.Unlock()
-	if h.closedSubs {
+	sub := &subscription[N]{f: f, ch: make(chan N, buf)}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
 		close(sub.ch)
 		return sub
 	}
-	if h.subs == nil {
-		h.subs = make(map[*HubSubscription]struct{})
+	if f.subs == nil {
+		f.subs = make(map[*subscription[N]]struct{})
 	}
-	h.subs[sub] = struct{}{}
+	f.subs[sub] = struct{}{}
 	return sub
 }
 
-// closeHubSubs closes every live hub subscription; called by Hub.Close.
-func (h *Hub) closeHubSubs() {
-	h.subMu.Lock()
-	defer h.subMu.Unlock()
-	for sub := range h.subs {
+// closeAll closes every live subscription and the feed itself.
+func (f *fanout[N]) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for sub := range f.subs {
 		close(sub.ch)
 	}
-	h.subs = nil
-	h.closedSubs = true
+	f.subs = nil
+	f.closed = true
 }
 
-// publishCommit fans one shard's commit out to every hub subscriber, with
-// the same never-block drop-oldest coalescing as the store-level feed.
-func (h *Hub) publishCommit(tenant, dataset string, v *Version) {
-	note := HubCommitNote{Tenant: tenant, Dataset: dataset, Version: v}
-	h.subMu.Lock()
-	defer h.subMu.Unlock()
-	for sub := range h.subs {
+// publish fans one note out to every subscriber. Every send is
+// non-blocking: when a subscriber's buffer is full its oldest pending note
+// is dropped to make room (coalescing), and if the send still cannot
+// proceed the new note is dropped instead — either way the publisher never
+// waits.
+func (f *fanout[N]) publish(note N) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for sub := range f.subs {
 		select {
 		case sub.ch <- note:
 		default:
@@ -201,12 +138,27 @@ func (h *Hub) publishCommit(tenant, dataset string, v *Version) {
 	}
 }
 
+// Subscribe registers a commit-notification subscriber with the given
+// channel capacity (<= 0 uses DefaultSubscribeBuffer). Subscribing to a
+// closed store returns a subscription whose channel is already closed.
+func (s *Store) Subscribe(buf int) *Subscription { return s.feed.subscribe(buf) }
+
+// Subscribe registers a hub-wide commit subscriber (buf <= 0 uses
+// DefaultSubscribeBuffer). Notes carry the tenant/dataset of the shard that
+// committed. Subscribing to a closed hub returns an already-closed channel.
+func (h *Hub) Subscribe(buf int) *HubSubscription { return h.feed.subscribe(buf) }
+
 // forwardShard bridges one shard's store-level feed into the hub feed. It
 // runs as a goroutine spawned when the shard opens and exits when the
 // shard's store is closed (eviction or hub shutdown closes the store-level
-// channel). A re-opened shard spawns a fresh forwarder.
-func (h *Hub) forwardShard(tenant, dataset string, sub *Subscription) {
+// channel); a re-opened shard spawns a fresh forwarder. The one shard of a
+// hub built by HubOf never re-opens, so its store's close ends the hub feed
+// too.
+func (h *Hub) forwardShard(sh *shard, sub *Subscription) {
 	for note := range sub.C() {
-		h.publishCommit(tenant, dataset, note.Version)
+		h.feed.publish(HubCommitNote{Tenant: sh.tenant, Dataset: sh.dataset, Version: note.Version})
+	}
+	if h.only {
+		h.feed.closeAll()
 	}
 }

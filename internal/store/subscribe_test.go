@@ -167,3 +167,41 @@ func TestHubSubscribeFanIn(t *testing.T) {
 		}
 	}
 }
+
+// TestHubOfFeed pins the commit feed of a hub of one: a commit made
+// directly on the wrapped store arrives under the hub's one tenant and
+// dataset, and the feed closes once the store is closed.
+func TestHubOfFeed(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := HubOf(s, "default", "default")
+	sub := h.Subscribe(4)
+	v, err := s.Commit(fuzzChain(t, 1, 4)[0], "", "direct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case note, ok := <-sub.C():
+		if !ok {
+			t.Fatal("hub feed closed before the commit note")
+		}
+		if note.Tenant != "default" || note.Dataset != "default" || note.Version.ID != v.ID {
+			t.Fatalf("note = %s/%s %s, want default/default %s", note.Tenant, note.Dataset, note.Version.ID, v.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the hub note")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case note, ok := <-sub.C():
+		if ok {
+			t.Fatalf("note %+v after Store.Close, want a closed feed", note)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("hub feed still open after Store.Close")
+	}
+}

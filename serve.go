@@ -38,9 +38,11 @@ type ServingStats = serve.ServingStats
 // status-class totals.
 type ShardServingStats = serve.ShardServingStats
 
-// NewServer wraps a version store in an http.Handler. cacheSize bounds the
-// summarize result cache (<=0 uses the default). The store may be shared
-// with other goroutines — it is safe for concurrent use.
+// NewServer wraps a version store in an http.Handler, served as a hub of
+// one dataset (the default one). cacheSize bounds the summarize result
+// cache (<=0 uses the default). The store may be shared with other
+// goroutines — it is safe for concurrent use — and commits made on it
+// directly reach the server's live timelines.
 func NewServer(st *VersionStore, cacheSize int) *Server {
 	return serve.NewServer(st, cacheSize)
 }

@@ -163,7 +163,7 @@ type HubOptions = store.HubOptions
 type HubStats = store.HubStats
 
 // ShardStats is one shard's slice of HubStats: its address, pin count,
-// hub-level commit/read counters, and the underlying store's stats.
+// hub-level commit counter, and the underlying store's stats.
 type ShardStats = store.ShardStats
 
 // DatasetRef addresses one shard of a hub.
