@@ -43,7 +43,6 @@ func main() {
 		alpha      = flag.Float64("alpha", 0.5, "accuracy weight α in Score(S)")
 		topk       = flag.Int("topk", 10, "number of summaries to return")
 		kmax       = flag.Int("kmax", 4, "max residual clusters per candidate")
-		seed       = flag.Int64("seed", 1, "clustering seed")
 		tree       = flag.Bool("tree", false, "render the top summary as a linear model tree")
 		treemap    = flag.Bool("treemap", false, "render the top summary's partition treemap")
 		suggest    = flag.Bool("suggest", false, "print the setup assistant's attribute rankings and exit")
@@ -132,7 +131,6 @@ func main() {
 	opts.Alpha = *alpha
 	opts.TopK = *topk
 	opts.KMax = *kmax
-	opts.Seed = *seed
 	opts.CondAttrs = splitList(*condList)
 	opts.TranAttrs = splitList(*tranList)
 	opts.Nonlinear = *nonlinear
@@ -205,7 +203,6 @@ func runTimeline(args []string) {
 		alpha     = fs.Float64("alpha", 0.5, "accuracy weight α in Score(S)")
 		topk      = fs.Int("topk", 10, "number of summaries per step")
 		kmax      = fs.Int("kmax", 4, "max residual clusters per candidate")
-		seed      = fs.Int64("seed", 1, "clustering seed")
 		workers   = fs.Int("workers", 0, "max concurrent steps (0 = GOMAXPROCS)")
 	)
 	_ = fs.Parse(args)
@@ -231,7 +228,6 @@ func runTimeline(args []string) {
 	opts.Alpha = *alpha
 	opts.TopK = *topk
 	opts.KMax = *kmax
-	opts.Seed = *seed
 	opts.CondAttrs = splitList(*condList)
 	opts.TranAttrs = splitList(*tranList)
 	opts.Workers = *workers

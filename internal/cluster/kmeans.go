@@ -1,504 +1,172 @@
-// Package cluster implements k-means clustering with k-means++ seeding and
-// automatic selection of k. ChARLES clusters the one-dimensional residuals
-// of a global regression to discover candidate data partitions, so the
-// package provides both a 1-D convenience path and a general d-dim
-// implementation, plus silhouette-based selection of k.
+// Package cluster implements exact k-means clustering of scalar values.
+// ChARLES clusters the one-dimensional residuals of a global regression to
+// discover candidate data partitions. In one dimension an optimal k-means
+// clustering splits the sorted values into contiguous runs, so a dynamic
+// program over the sorted distinct values finds it exactly (Wang & Song
+// 2011, "Ckmeans.1d.dp"; Grønlund et al. 2017, arXiv:1701.07204). The
+// answer depends only on the values: there is no seed, no restart, and no
+// dependence on their order.
 package cluster
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"sort"
 )
 
-// Result holds the outcome of a k-means run.
+// Result holds the outcome of a clustering.
 type Result struct {
-	K         int
-	Labels    []int       // cluster id per point, in input order
-	Centers   [][]float64 // K × d centroids
-	Inertia   float64     // Σ squared distance to assigned centroid
-	Iters     int         // iterations until convergence
-	Sizes     []int       // points per cluster
-	Converged bool
+	K       int
+	Labels  []int     // cluster id per value, in input order
+	Centers []float64 // cluster means
+	Sizes   []int     // values per cluster
+	Inertia float64   // Σ squared distance to the assigned center
 }
 
-// Options configure a k-means run.
-type Options struct {
-	MaxIters int   // default 100
-	Restarts int   // independent seedings; best inertia wins (default 4)
-	Seed     int64 // RNG seed for reproducibility
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 100
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 4
-	}
-	return o
-}
-
-// KMeans clusters d-dimensional points into k clusters (Lloyd's algorithm,
-// k-means++ seeding, multiple restarts). Deterministic for a fixed seed.
-func KMeans(points [][]float64, k int, opts Options) (*Result, error) {
-	n := len(points)
-	if k <= 0 {
-		return nil, fmt.Errorf("cluster: k must be positive, got %d", k)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	if k > n {
-		k = n
-	}
-	d := len(points[0])
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("cluster: point %d has dim %d, want %d", i, len(p), d)
-		}
-	}
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	var best *Result
-	for r := 0; r < opts.Restarts; r++ {
-		res := runLloyd(points, k, opts.MaxIters, rng)
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	relabelBySize(best)
-	return best, nil
-}
-
-// KMeans1D clusters scalar values — the shape the ChARLES residual-
-// clustering step calls in its inner loop. It is a dedicated scalar
-// implementation rather than a boxing wrapper around KMeans: the engine
-// runs it once per (T, k) candidate, and allocating one []float64 per point
-// dominated the whole pipeline's allocation profile. The arithmetic mirrors
-// runLloyd/seedPlusPlus exactly (same RNG consumption, same operation
-// order), so results are bit-identical to the boxed path.
-func KMeans1D(values []float64, k int, opts Options) (*Result, error) {
+// KMeans1D clusters values into K = min(k, distinct values) clusters with
+// the least inertia of any clustering. Equal values always share a
+// cluster. Cluster 0 is the largest; clusters of equal size are numbered
+// in ascending value order, so permuting values permutes Labels the same
+// way. A NaN or ±Inf value is an error.
+//
+// The dynamic program runs over the m distinct values, each weighted by
+// its multiplicity. Layer c holds the least cost of covering every prefix
+// of them with c+1 clusters; the best start of the last cluster is
+// non-decreasing in the prefix length, so a divide-and-conquer argmin
+// fills a layer in O(m log m).
+func KMeans1D(values []float64, k int) (*Result, error) {
 	n := len(values)
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: k must be positive, got %d", k)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: no points")
-	}
-	if k > n {
-		k = n
-	}
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	var best *Result
-	for r := 0; r < opts.Restarts; r++ {
-		res := runLloyd1D(values, k, opts.MaxIters, rng)
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	relabelBySize(best)
-	return best, nil
-}
-
-func runLloyd1D(values []float64, k, maxIters int, rng *rand.Rand) *Result {
-	n := len(values)
-	centers := seedPlusPlus1D(values, k, rng)
-	labels := make([]int, n)
-	sizes := make([]int, k)
-	res := &Result{K: k}
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		for i, v := range values {
-			bi, bd := 0, math.Inf(1)
-			for c := range centers {
-				dd := sq(v - centers[c])
-				if dd < bd {
-					bi, bd = c, dd
-				}
-			}
-			if labels[i] != bi {
-				labels[i] = bi
-				changed = true
-			}
-		}
-		if iter > 0 && !changed {
-			res.Converged = true
-			res.Iters = iter
-			break
-		}
-		for c := range centers {
-			centers[c] = 0
-			sizes[c] = 0
-		}
-		for i, v := range values {
-			c := labels[i]
-			sizes[c]++
-			centers[c] += v
-		}
-		for c := range centers {
-			if sizes[c] == 0 {
-				fi, fd := 0, -1.0
-				for i, v := range values {
-					dd := sq(v - centers[labels[i]])
-					if dd > fd {
-						fi, fd = i, dd
-					}
-				}
-				centers[c] = values[fi]
-				continue
-			}
-			inv := 1 / float64(sizes[c])
-			centers[c] *= inv
-		}
-		res.Iters = iter + 1
-	}
-	inertia := 0.0
-	for c := range sizes {
-		sizes[c] = 0
 	}
 	for i, v := range values {
-		bi, bd := 0, math.Inf(1)
-		for c := range centers {
-			dd := sq(v - centers[c])
-			if dd < bd {
-				bi, bd = c, dd
-			}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("cluster: value %d is %v", i, v)
 		}
-		labels[i] = bi
-		sizes[bi]++
-		inertia += bd
 	}
-	res.Labels = labels
-	res.Sizes = sizes
-	res.Inertia = inertia
-	res.Centers = make([][]float64, k)
-	for c, v := range centers {
-		res.Centers[c] = []float64{v}
-	}
-	return res
-}
 
-// sq mirrors sqDist for d = 1 (0 + d·d, the identical float sequence).
-func sq(d float64) float64 { return d * d }
-
-// seedPlusPlus1D mirrors seedPlusPlus on scalars with the same RNG calls.
-func seedPlusPlus1D(values []float64, k int, rng *rand.Rand) []float64 {
-	n := len(values)
-	centers := make([]float64, 0, k)
-	centers = append(centers, values[rng.Intn(n)])
-	dist := make([]float64, n)
-	for len(centers) < k {
-		total := 0.0
-		for i, v := range values {
-			dd := math.Inf(1)
-			for _, c := range centers {
-				if d := sq(v - c); d < dd {
-					dd = d
-				}
-			}
-			dist[i] = dd
-			total += dd
+	// Everything below reads the values sorted and scaled by 2^−e into
+	// (−1, 1): no bit of the arithmetic depends on their input order, the
+	// scaling is exact, and no square can overflow.
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	_, e := math.Frexp(max(-sorted[0], sorted[n-1]))
+	mean := 0.0
+	var xs, ws []float64 // distinct scaled values ascending, and their multiplicities
+	for _, v := range sorted {
+		x := math.Ldexp(v, -e)
+		mean += x
+		if m := len(xs); m > 0 && xs[m-1] == x {
+			ws[m-1]++
+			continue
 		}
-		var chosen int
-		if total == 0 {
-			chosen = rng.Intn(n)
-		} else {
-			target := rng.Float64() * total
-			acc := 0.0
-			chosen = n - 1
-			for i, dd := range dist {
-				acc += dd
-				if acc >= target {
-					chosen = i
-					break
-				}
-			}
-		}
-		centers = append(centers, values[chosen])
+		xs = append(xs, x)
+		ws = append(ws, 1)
 	}
-	return centers
-}
+	m := len(xs)
+	mean /= float64(n)
 
-func runLloyd(points [][]float64, k, maxIters int, rng *rand.Rand) *Result {
-	n, d := len(points), len(points[0])
-	centers := seedPlusPlus(points, k, rng)
-	labels := make([]int, n)
-	sizes := make([]int, k)
-	res := &Result{K: k}
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		// Assignment step.
-		for i, p := range points {
-			bi, bd := 0, math.Inf(1)
-			for c := range centers {
-				dd := sqDist(p, centers[c])
-				if dd < bd {
-					bi, bd = c, dd
-				}
-			}
-			if labels[i] != bi {
-				labels[i] = bi
-				changed = true
-			}
-		}
-		if iter > 0 && !changed {
-			res.Converged = true
-			res.Iters = iter
-			break
-		}
-		// Update step.
-		for c := range centers {
-			for j := 0; j < d; j++ {
-				centers[c][j] = 0
-			}
-			sizes[c] = 0
-		}
-		for i, p := range points {
-			c := labels[i]
-			sizes[c]++
-			for j := 0; j < d; j++ {
-				centers[c][j] += p[j]
-			}
-		}
-		for c := range centers {
-			if sizes[c] == 0 {
-				// Re-seed an empty cluster at the point farthest from its center.
-				fi, fd := 0, -1.0
-				for i, p := range points {
-					dd := sqDist(p, centers[labels[i]])
-					if dd > fd {
-						fi, fd = i, dd
-					}
-				}
-				copy(centers[c], points[fi])
-				continue
-			}
-			inv := 1 / float64(sizes[c])
-			for j := 0; j < d; j++ {
-				centers[c][j] *= inv
-			}
-		}
-		res.Iters = iter + 1
+	// Prefix sums of w, w·(x−mean) and w·(x−mean)² over the distinct
+	// values; shifting by the mean keeps s2 from cancelling when the values
+	// sit far from zero.
+	s0 := make([]float64, m+1)
+	s1 := make([]float64, m+1)
+	s2 := make([]float64, m+1)
+	for j, x := range xs {
+		d := x - mean
+		s0[j+1] = s0[j] + ws[j]
+		s1[j+1] = s1[j] + ws[j]*d
+		s2[j+1] = s2[j] + ws[j]*d*d
 	}
-	// Final assignment + inertia.
+	// cost is the sum of squares of distinct values [i, j) about their mean.
+	cost := func(i, j int) float64 {
+		s := s1[j] - s1[i]
+		return max(0, s2[j]-s2[i]-s*(s/(s0[j]-s0[i])))
+	}
+
+	K := min(k, m)
+	// cut[c*(m+1)+j] is the first distinct value of cluster c in the best
+	// split of the first j distinct values into c+1 clusters (0 for c = 0).
+	cut := make([]int, K*(m+1))
+	prev := make([]float64, m+1) // layer c−1: least cost of each prefix
+	cur := make([]float64, m+1)
+	for j := 1; j <= m; j++ {
+		prev[j] = cost(0, j)
+	}
+	for c := 1; c < K; c++ {
+		row := cut[c*(m+1) : (c+1)*(m+1)]
+		// solve fills prefixes lo..hi, whose last clusters start within
+		// optLo..optHi; optLo < lo keeps the first candidate valid, and
+		// seeding the argmin with it means it is never unset.
+		var solve func(lo, hi, optLo, optHi int)
+		solve = func(lo, hi, optLo, optHi int) {
+			if lo > hi {
+				return
+			}
+			j := (lo + hi) / 2
+			best, bestCost := optLo, prev[optLo]+cost(optLo, j)
+			for i := optLo + 1; i <= min(optHi, j-1); i++ {
+				if v := prev[i] + cost(i, j); v < bestCost {
+					best, bestCost = i, v
+				}
+			}
+			cur[j], row[j] = bestCost, best
+			solve(lo, j-1, optLo, best)
+			solve(j+1, hi, best, optHi)
+		}
+		solve(c+1, m, c, m-1)
+		prev, cur = cur, prev
+	}
+
+	// Walk the cuts back from the full prefix: cluster c covers distinct
+	// values [starts[c], ends[c]).
+	starts, ends := make([]int, K), make([]int, K)
+	for c, j := K-1, m; c >= 0; c-- {
+		ends[c] = j
+		j = cut[c*(m+1)+j]
+		starts[c] = j
+	}
+	res := &Result{K: K, Labels: make([]int, n), Centers: make([]float64, K), Sizes: make([]int, K)}
+	upper := make([]float64, K) // largest scaled value of each cluster
 	inertia := 0.0
-	for c := range sizes {
-		sizes[c] = 0
-	}
-	for i, p := range points {
-		bi, bd := 0, math.Inf(1)
-		for c := range centers {
-			dd := sqDist(p, centers[c])
-			if dd < bd {
-				bi, bd = c, dd
-			}
+	for c := range ends {
+		center := mean + (s1[ends[c]]-s1[starts[c]])/(s0[ends[c]]-s0[starts[c]])
+		for j := starts[c]; j < ends[c]; j++ {
+			d := xs[j] - center
+			inertia += ws[j] * d * d
 		}
-		labels[i] = bi
-		sizes[bi]++
-		inertia += bd
+		res.Centers[c] = math.Ldexp(center, e)
+		res.Sizes[c] = int(s0[ends[c]] - s0[starts[c]])
+		upper[c] = xs[ends[c]-1]
 	}
-	res.Labels = labels
-	res.Centers = centers
-	res.Sizes = sizes
-	res.Inertia = inertia
-	return res
+	res.Inertia = math.Ldexp(inertia, 2*e)
+	for i, v := range values {
+		res.Labels[i] = sort.SearchFloat64s(upper, math.Ldexp(v, -e))
+	}
+	relabelBySize(res)
+	return res, nil
 }
 
-// seedPlusPlus picks k initial centers with the k-means++ distribution.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(points)
-	centers := make([][]float64, 0, k)
-	first := points[rng.Intn(n)]
-	centers = append(centers, append([]float64(nil), first...))
-	dist := make([]float64, n)
-	for len(centers) < k {
-		total := 0.0
-		for i, p := range points {
-			dd := math.Inf(1)
-			for _, c := range centers {
-				if v := sqDist(p, c); v < dd {
-					dd = v
-				}
-			}
-			dist[i] = dd
-			total += dd
-		}
-		var chosen int
-		if total == 0 {
-			chosen = rng.Intn(n)
-		} else {
-			target := rng.Float64() * total
-			acc := 0.0
-			chosen = n - 1
-			for i, dd := range dist {
-				acc += dd
-				if acc >= target {
-					chosen = i
-					break
-				}
-			}
-		}
-		centers = append(centers, append([]float64(nil), points[chosen]...))
-	}
-	return centers
-}
-
-func sqDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// relabelBySize renumbers clusters so that cluster 0 is the largest; this
-// makes downstream output deterministic and stable across seeds.
+// relabelBySize renumbers clusters so that cluster 0 is the largest; ties
+// keep ascending value order. Labels then depend only on the values.
 func relabelBySize(r *Result) {
 	order := make([]int, r.K)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if r.Sizes[order[a]] != r.Sizes[order[b]] {
-			return r.Sizes[order[a]] > r.Sizes[order[b]]
-		}
-		// Tie-break on first center coordinate for determinism.
-		return r.Centers[order[a]][0] < r.Centers[order[b]][0]
-	})
+	sort.SliceStable(order, func(a, b int) bool { return r.Sizes[order[a]] > r.Sizes[order[b]] })
 	remap := make([]int, r.K)
+	centers, sizes := make([]float64, r.K), make([]int, r.K)
 	for newID, oldID := range order {
 		remap[oldID] = newID
+		centers[newID], sizes[newID] = r.Centers[oldID], r.Sizes[oldID]
 	}
 	for i, l := range r.Labels {
 		r.Labels[i] = remap[l]
 	}
-	newCenters := make([][]float64, r.K)
-	newSizes := make([]int, r.K)
-	for oldID, newID := range remap {
-		newCenters[newID] = r.Centers[oldID]
-		newSizes[newID] = r.Sizes[oldID]
-	}
-	r.Centers = newCenters
-	r.Sizes = newSizes
-}
-
-// silhouetteAccept is the minimum mean silhouette for a multi-cluster
-// solution to beat the single-cluster default. Splitting homogeneous 1-D
-// data at its median yields silhouettes around 0.55, so 0.6 separates real
-// structure from inertia-chasing splits.
-const silhouetteAccept = 0.6
-
-// silhouetteSample caps the points used for silhouette evaluation (which is
-// quadratic); a uniform stride subsample preserves cluster proportions.
-const silhouetteSample = 512
-
-// ChooseK runs k-means for k = 1..kmax and selects the k with the best mean
-// silhouette, defaulting to k = 1 when no multi-cluster solution is
-// convincingly separated. (Raw inertia keeps improving with k — splitting a
-// single Gaussian nearly triples the fit — so an elbow/BIC rule on inertia
-// alone over-segments; silhouette measures separation directly.)
-func ChooseK(points [][]float64, kmax int, opts Options) (*Result, error) {
-	if kmax <= 0 {
-		return nil, fmt.Errorf("cluster: kmax must be positive, got %d", kmax)
-	}
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	results := make([]*Result, 0, kmax)
-	for k := 1; k <= kmax && k <= n; k++ {
-		res, err := KMeans(points, k, opts)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	if len(results) == 1 {
-		return results[0], nil
-	}
-	// Subsample for the quadratic silhouette pass.
-	stride := 1
-	if n > silhouetteSample {
-		stride = (n + silhouetteSample - 1) / silhouetteSample
-	}
-	var subPts [][]float64
-	for i := 0; i < n; i += stride {
-		subPts = append(subPts, points[i])
-	}
-	best := results[0] // k = 1 default
-	bestSil := silhouetteAccept
-	for _, res := range results[1:] {
-		var subLabels []int
-		for i := 0; i < n; i += stride {
-			subLabels = append(subLabels, res.Labels[i])
-		}
-		if sil := Silhouette(subPts, subLabels, res.K); sil > bestSil {
-			best, bestSil = res, sil
-		}
-	}
-	return best, nil
-}
-
-// ChooseK1D is ChooseK for scalar values.
-func ChooseK1D(values []float64, kmax int, opts Options) (*Result, error) {
-	pts := make([][]float64, len(values))
-	for i, v := range values {
-		pts[i] = []float64{v}
-	}
-	return ChooseK(pts, kmax, opts)
-}
-
-// Silhouette computes the mean silhouette coefficient of a clustering
-// (in [-1, 1], higher = better separated). O(n²); intended for tests and
-// small diagnostic runs, not the hot path.
-func Silhouette(points [][]float64, labels []int, k int) float64 {
-	n := len(points)
-	if n == 0 || k <= 1 {
-		return 0
-	}
-	total, counted := 0.0, 0
-	for i := 0; i < n; i++ {
-		sumBy := make([]float64, k)
-		cntBy := make([]int, k)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			d := math.Sqrt(sqDist(points[i], points[j]))
-			sumBy[labels[j]] += d
-			cntBy[labels[j]]++
-		}
-		own := labels[i]
-		if cntBy[own] == 0 {
-			continue // singleton cluster: silhouette undefined
-		}
-		a := sumBy[own] / float64(cntBy[own])
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || cntBy[c] == 0 {
-				continue
-			}
-			if v := sumBy[c] / float64(cntBy[c]); v < b {
-				b = v
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
+	r.Centers, r.Sizes = centers, sizes
 }

@@ -368,12 +368,12 @@ func (e *engine) signal(rows []int, fm *featMat, global *regress.Model) []float6
 	return signal
 }
 
-// partitionLabels clusters the signal into k groups (seed + EM-style
+// partitionLabels clusters the signal into k groups (exact k-means + EM-style
 // refinement; see seedAndRefine) and expands the result to a full per-row
 // labeling: changed rows carry their cluster id, all other rows the
 // "unchanged" class k, so the condition tree learns to separate them.
 func (e *engine) partitionLabels(signal []float64, rows []int, fm *featMat, k int) ([]int, error) {
-	clusterLabels, err := seedAndRefine(signal, rows, fm, e.newVals, k, e.opts.Seed, e.opts.NoRefine)
+	clusterLabels, err := seedAndRefine(signal, rows, fm, e.newVals, k, e.opts.NoRefine)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -122,6 +123,21 @@ func TestDuplicateKeysRejected(t *testing.T) {
 	})
 	if _, err := Summarize(src, tgt, DefaultOptions("pay")); err == nil {
 		t.Error("duplicate primary keys accepted")
+	}
+}
+
+// TestInfiniteTargetIsAnError: a target cell that becomes ±Inf cannot be
+// clustered, and Summarize says so. (The seeded clustering search that
+// exact k-means replaced panicked here on an empty labeling.)
+func TestInfiniteTargetIsAnError(t *testing.T) {
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		src, tgt := gen.Toy()
+		if err := tgt.MustColumn("bonus").Set(0, table.F(inf)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Summarize(src, tgt, DefaultOptions("bonus")); err == nil {
+			t.Errorf("bonus %v: Summarize succeeded, want an error", inf)
+		}
 	}
 }
 

@@ -1,18 +1,23 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"charles/internal/gen"
+	"charles/internal/table"
 )
 
 // TestRowOrderInvariance: physical row order is presentation, not
 // semantics — the recovered top summary must not change when both
-// snapshots are permuted identically. (Regression test: k-means++ seeding
-// is order-sensitive, and EM refinement converges to seed-dependent local
-// optima; multi-seed refinement with ambiguity-aware tie-breaks makes the
-// result stable.)
+// snapshots are permuted identically. (Regression test: EM refinement
+// converges to start-dependent local optima, so its start must not depend
+// on row order; exact 1-D k-means depends only on the values, and
+// ambiguity-aware tie-breaks keep the refinement from chasing the
+// floating-point differences that row order does cause.)
 func TestRowOrderInvariance(t *testing.T) {
 	src, tgt := gen.Toy()
 	baseRanked, err := Summarize(src, tgt, DefaultOptions("bonus"))
@@ -101,4 +106,182 @@ func TestRowOrderInvarianceMontgomery(t *testing.T) {
 		t.Errorf("Montgomery top summary is row-order sensitive:\nbase:\n%s\npermuted:\n%s",
 			base[0].Summary, permuted[0].Summary)
 	}
+}
+
+// TestRowOrderInvariancePolicyChain extends the invariance check to a
+// chain whose policies alternately raise and lower values rounded to
+// cents. On these bonus steps a seeded, order-sensitive clustering gave 13
+// of the 24 permuted runs a top-1 other than key order's (scores between
+// 0.847 and 0.976); every permutation must give the key-ordered top-1.
+func TestRowOrderInvariancePolicyChain(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		snaps, err := policyChain(seed, 300, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []int{3, 5, 6} {
+			src, tgt := snaps[step-1], snaps[step]
+			opts := DefaultOptions("bonus")
+			base, err := Summarize(src, tgt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := int64(1); p <= 2; p++ {
+				perm := rand.New(rand.NewSource(p)).Perm(src.NumRows())
+				psrc, ptgt := src.Gather(perm), tgt.Gather(perm)
+				if err := psrc.SetKey("id"); err != nil {
+					t.Fatal(err)
+				}
+				if err := ptgt.SetKey("id"); err != nil {
+					t.Fatal(err)
+				}
+				permuted, err := Summarize(psrc, ptgt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base[0].Summary.Fingerprint() != permuted[0].Summary.Fingerprint() {
+					t.Errorf("seed %d step %d permutation %d: top-1 score %.4f, key order %.4f:\nkey order:\n%s\npermuted:\n%s",
+						seed, step, p, permuted[0].Breakdown.Score, base[0].Breakdown.Score, base[0].Summary, permuted[0].Summary)
+				}
+			}
+		}
+	}
+}
+
+// policyChainRow is one employee of policyChain.
+type policyChainRow struct {
+	id    string
+	dept  string
+	grade int64
+	vals  [4]float64 // salary, bonus, overtime, longevity
+}
+
+// policyChainTargets are the numeric attributes policyChain evolves, in
+// schema order.
+var policyChainTargets = []string{"salary", "bonus", "overtime", "longevity"}
+
+// policyChain builds versions snapshots of rows employees evolving under
+// per-target policies whose odd applications raise values and whose even
+// applications lower them, with every value rounded to cents; snapshots
+// are stored in key order. It mirrors servebench's policy chain, where the
+// up and down steps and the rounding left the top-1 answer dependent on
+// row order. Salary and bonus move every step, overtime every second step
+// and longevity every third.
+func policyChain(seed int64, rows, versions int) ([]*table.Table, error) {
+	cents := func(v float64) float64 { return math.Round(v*100) / 100 }
+	depts := []string{"ENG", "POL", "FIN"}
+	fixed := rand.New(rand.NewSource(1))
+	pop := make([]policyChainRow, rows)
+	for i := range pop {
+		pop[i] = policyChainRow{
+			dept:  depts[fixed.Intn(len(depts))],
+			grade: int64(5 + fixed.Intn(21)),
+			vals: [4]float64{
+				float64(40000+fixed.Intn(1200)*100) + 0.5,
+				float64(1000+fixed.Intn(90)*100) + 0.5,
+				float64(fixed.Intn(40)*25) + 500.5,
+				float64(fixed.Intn(8)*250) + 0.5,
+			},
+		}
+	}
+	// The seed decides which entity gets which record; ids are assigned
+	// in ascending order, so every snapshot is in key order.
+	rng := rand.New(rand.NewSource(seed))
+	ids := rng.Perm(10 * rows)[:rows]
+	sort.Ints(ids)
+	cur := make([]policyChainRow, rows)
+	for i, p := range rng.Perm(rows) {
+		cur[i] = pop[p]
+		cur[i].id = fmt.Sprintf("e%06d", ids[i])
+	}
+	apply := func(e *policyChainRow, target, k int) {
+		up := k%2 == 1
+		v := e.vals[target]
+		switch target {
+		case 0: // salary
+			switch {
+			case e.dept == "ENG" && up:
+				v = 1.03*v + 500
+			case e.dept == "ENG":
+				v = 0.97*v + 400
+			case e.dept == "POL" && up:
+				v += 1000
+			case e.dept == "POL":
+				v -= 900
+			}
+		case 1: // bonus
+			switch {
+			case e.grade >= 15 && up:
+				v *= 1.05
+			case e.grade >= 15:
+				v = 0.95*v + 50
+			case up:
+				v += 200
+			default:
+				v -= 180
+			}
+		case 2: // overtime
+			switch {
+			case e.dept == "FIN" && up:
+				v *= 1.10
+			case e.dept == "FIN":
+				v *= 0.91
+			case up:
+				v += 50
+			default:
+				v -= 45
+			}
+		case 3: // longevity
+			if e.grade >= 20 {
+				v += 250
+			}
+		}
+		e.vals[target] = cents(v) // cents is idempotent on unchanged values
+	}
+	schema := table.Schema{
+		{Name: "id", Type: table.String},
+		{Name: "dept", Type: table.String},
+		{Name: "grade", Type: table.Int},
+	}
+	for _, name := range policyChainTargets {
+		schema = append(schema, table.Field{Name: name, Type: table.Float})
+	}
+	snapshot := func(rs []policyChainRow) (*table.Table, error) {
+		t := table.MustNew(schema)
+		for _, e := range rs {
+			vals := []table.Value{table.S(e.id), table.S(e.dept), table.I(e.grade)}
+			for _, v := range e.vals {
+				vals = append(vals, table.F(v))
+			}
+			if err := t.AppendRow(vals...); err != nil {
+				return nil, err
+			}
+		}
+		return t, t.SetKey("id")
+	}
+	first, err := snapshot(cur)
+	if err != nil {
+		return nil, err
+	}
+	snaps := []*table.Table{first}
+	applied := [4]int{}
+	for s := 1; s < versions; s++ {
+		next := append([]policyChainRow(nil), cur...)
+		for target := range policyChainTargets {
+			if target == 2 && s%2 != 0 || target == 3 && s%3 != 0 {
+				continue
+			}
+			applied[target]++
+			for i := range next {
+				apply(&next[i], target, applied[target])
+			}
+		}
+		t, err := snapshot(next)
+		if err != nil {
+			return nil, err
+		}
+		snaps = append(snaps, t)
+		cur = next
+	}
+	return snaps, nil
 }

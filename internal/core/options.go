@@ -64,9 +64,6 @@ type Options struct {
 	// derives it from the condition-subset size.
 	MaxCondAtoms int
 
-	// Seed makes clustering deterministic.
-	Seed int64
-
 	// Robust enables MAD-trimmed per-partition fitting, which keeps a few
 	// off-policy edits (manual corrections, data-entry errors) from
 	// dragging the recovered transformation away from the policy.
@@ -122,7 +119,6 @@ func DefaultOptions(target string) Options {
 		Weights:       score.DefaultWeights(),
 		SnapTolerance: 0.02,
 		ChangeTol:     1e-9,
-		Seed:          1,
 		Robust:        true,
 	}
 }
@@ -130,9 +126,9 @@ func DefaultOptions(target string) Options {
 // Fingerprint returns a deterministic digest of every option that can
 // influence a Summarize result. Two Options values with equal fingerprints
 // produce identical rankings over the same snapshot pair, down to the tie
-// order and provenance of every summary (the engine is deterministic given
-// Seed and independent of Workers), which makes the fingerprint a sound
-// component of result-cache keys.
+// order and provenance of every summary (the engine has no source of
+// randomness and is independent of Workers), which makes the fingerprint a
+// sound component of result-cache keys.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
 	// Workers is deliberately excluded: results are identical regardless of
@@ -145,8 +141,8 @@ func (o Options) Fingerprint() string {
 	fmt.Fprintf(&b, "|w=%.12g,%.12g,%.12g,%.12g,%.12g",
 		o.Weights.Size, o.Weights.CondSimplicity, o.Weights.TranSimplicity,
 		o.Weights.Coverage, o.Weights.Normality)
-	fmt.Fprintf(&b, "|snap=%.12g|tol=%.12g|minleaf=%.12g|maxatoms=%d|seed=%d",
-		o.SnapTolerance, o.ChangeTol, o.MinLeafFrac, o.MaxCondAtoms, o.Seed)
+	fmt.Fprintf(&b, "|snap=%.12g|tol=%.12g|minleaf=%.12g|maxatoms=%d",
+		o.SnapTolerance, o.ChangeTol, o.MinLeafFrac, o.MaxCondAtoms)
 	fmt.Fprintf(&b, "|robust=%t|nonlinear=%t|strategy=%d|norefine=%t|keepnochange=%t",
 		o.Robust, o.Nonlinear, int(o.Strategy), o.NoRefine, o.KeepNoChangeCTs)
 	sum := sha256.Sum256([]byte(b.String()))

@@ -28,7 +28,6 @@ func TestOptionsFingerprint(t *testing.T) {
 		"changetol":    func(o *Options) { o.ChangeTol = 1e-6 },
 		"minleaf":      func(o *Options) { o.MinLeafFrac = 0.1 },
 		"maxatoms":     func(o *Options) { o.MaxCondAtoms = 2 },
-		"seed":         func(o *Options) { o.Seed = 42 },
 		"robust":       func(o *Options) { o.Robust = !o.Robust },
 		"nonlinear":    func(o *Options) { o.Nonlinear = true },
 		"strategy":     func(o *Options) { o.Strategy = DeltaKMeans },

@@ -11,51 +11,19 @@ import (
 // always stabilize within a handful of iterations.
 const refineMaxIters = 12
 
-// refineRestarts is the number of independent clustering seeds fed through
-// refinement. EM converges to local optima that depend on the seeding (and
-// hence on row order); taking the best of a few restarts makes recovery
-// insensitive to both.
-const refineRestarts = 3
-
-// seedAndRefine clusters the 1-D signal with several independent seedings,
-// refines each EM-style, and returns the refined labeling with the lowest
-// total absolute fitting error (deterministic: ties keep the earliest
-// restart). This is the partition-discovery workhorse behind candidate().
-func seedAndRefine(signal []float64, rows []int, fm *featMat, newVals []float64, k int, seed int64, noRefine bool) ([]int, error) {
-	var bestLabels []int
-	bestErr := math.Inf(1)
-	for restart := 0; restart < refineRestarts; restart++ {
-		km, err := cluster.KMeans1D(signal, k, cluster.Options{Seed: seed + int64(restart)})
-		if err != nil {
-			return nil, err
-		}
-		labels := km.Labels
-		if !noRefine {
-			labels = refineClusters(km.Labels, rows, fm, newVals, k)
-		}
-		total := totalAbsError(labels, rows, fm, newVals, k)
-		if total < bestErr-1e-9 {
-			bestLabels, bestErr = labels, total
-		}
-		if noRefine {
-			break // without refinement the extra seeds only churn
-		}
+// seedAndRefine clusters the 1-D signal exactly and refines the clusters
+// EM-style; with noRefine (the E12 ablation) it returns the raw
+// clustering. This is the partition-discovery workhorse behind
+// candidate().
+func seedAndRefine(signal []float64, rows []int, fm *featMat, newVals []float64, k int, noRefine bool) ([]int, error) {
+	km, err := cluster.KMeans1D(signal, k)
+	if err != nil {
+		return nil, err
 	}
-	return bestLabels, nil
-}
-
-// totalAbsError sums each row's absolute error under its cluster's model.
-func totalAbsError(labels []int, rows []int, fm *featMat, newVals []float64, k int) float64 {
-	models := fitClusterModels(labels, rows, fm, newVals, k)
-	total := 0.0
-	for i, r := range rows {
-		m := models[labels[i]]
-		if m == nil {
-			continue
-		}
-		total += math.Abs(newVals[r] - m.Predict(fm.row(r)))
+	if noRefine {
+		return km.Labels, nil
 	}
-	return total
+	return refineClusters(km.Labels, rows, fm, newVals, k), nil
 }
 
 // refineClusters improves an initial clustering of the changed rows by
@@ -79,8 +47,8 @@ func refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k 
 		for i, r := range rows {
 			// Tolerance for "fits equally well": rows on the intersection
 			// of two transformation lines are ambiguous, and chasing
-			// floating-point dust would make the outcome depend on the
-			// k-means seeding (and hence on row order).
+			// floating-point dust would make the outcome depend on row
+			// order (the per-cluster fits sum their rows in order).
 			eps := 1e-9 * (1 + math.Abs(newVals[r]))
 			bestC, bestErr := -1, math.Inf(1)
 			for c := 0; c < k; c++ {

@@ -386,20 +386,44 @@ func TestWatchHammerExactCounters(t *testing.T) {
 		parent = nv.ID
 	}
 
-	// Both SSE subscribers observed the full sequence, in order.
-	close1()
-	close2()
-	for n, ch := range map[string]<-chan sseEvent{"ch1": ch1, "ch2": ch2} {
+	// Both SSE subscribers observed the full sequence, in order. The last
+	// long-poll can return before the SSE handlers have written their last
+	// step event, so each stream is read until it has delivered every step
+	// (or a deadline passes) and only then closed; whatever it still held
+	// is read after the close, so an extra step event is caught too.
+	for _, sub := range []struct {
+		n     string
+		ch    <-chan sseEvent
+		close func()
+	}{{"ch1", ch1, close1}, {"ch2", ch2, close2}} {
+		n := sub.n
 		var seen []watchEvent
-		for ev := range ch {
+		step := func(ev sseEvent) {
 			if ev.name != "step" {
-				continue
+				return
 			}
 			var we watchEvent
 			if err := json.Unmarshal([]byte(ev.data), &we); err != nil {
 				t.Fatalf("%s: bad step event %s", n, ev.data)
 			}
 			seen = append(seen, we)
+		}
+		deadline := time.After(10 * time.Second)
+	read:
+		for len(seen) < commits {
+			select {
+			case ev, ok := <-sub.ch:
+				if !ok {
+					break read
+				}
+				step(ev)
+			case <-deadline:
+				break read
+			}
+		}
+		sub.close()
+		for ev := range sub.ch {
+			step(ev)
 		}
 		if len(seen) != commits {
 			t.Fatalf("%s: saw %d step events, want %d", n, len(seen), commits)

@@ -216,8 +216,9 @@ func NewHubServer(h *store.Hub, cfg Config) *Server {
 	mux := http.NewServeMux()
 	// Each dataset route is registered twice: under the explicit
 	// /datasets/{tenant}/{ds} prefix and at the legacy root (which aliases
-	// the default dataset). commit=true routes may create the shard;
-	// read routes must 404 on unknown datasets instead.
+	// the default dataset). Only POST /versions (commit=true) may create
+	// the shard; every other route, the engine's included, must 404 on
+	// unknown datasets instead.
 	shardRoutes := []struct {
 		method, pattern string
 		commit          bool
@@ -229,8 +230,8 @@ func NewHubServer(h *store.Hub, cfg Config) *Server {
 		{"GET", "/versions/{id}/csv", false, s.handleCheckout},
 		{"GET", "/versions/{id}/changes", false, s.handleChanges},
 		{"GET", "/diff", false, s.handleDiff},
-		{"POST", "/summarize", true, s.handleSummarize},
-		{"POST", "/timeline", true, s.handleTimeline},
+		{"POST", "/summarize", false, s.handleSummarize},
+		{"POST", "/timeline", false, s.handleTimeline},
 		{"GET", "/timeline/watch", false, s.handleWatch},
 	}
 	// tagRoute stamps the matched pattern onto the request's
@@ -289,8 +290,8 @@ func NewHubServer(h *store.Hub, cfg Config) *Server {
 // and tag the request's recorder with the shard key. The tag comes before
 // the acquire, so a failed resolve (unknown dataset, invalid name) is
 // still attributed to the shard it addressed when Server.finish counts
-// the request. commit routes may create the shard; on read routes an
-// unknown dataset is a 404, never a freshly created directory.
+// the request. Only the commit route may create the shard; on every other
+// route an unknown dataset is a 404, never a freshly created directory.
 func (s *Server) onShard(commit bool, h func(*shardRef, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	acquire := s.hub.AcquireExisting
 	if commit {

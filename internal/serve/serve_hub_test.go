@@ -140,10 +140,19 @@ func TestHubServerLegacyAlias(t *testing.T) {
 	}
 }
 
-// TestHubServerUnknownDataset pins the read/create split: reads on a
-// never-committed dataset 404 without creating it; commits create it.
+// TestHubServerUnknownDataset pins the read/create split: reads, summarize
+// and timeline requests on a never-committed dataset 404 without creating
+// it; commits create it.
 func TestHubServerUnknownDataset(t *testing.T) {
-	h, ts := newHubTestServer(t, store.HubOptions{})
+	dir := t.TempDir()
+	h, err := store.OpenHubWith(dir, store.HubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ts := httptest.NewServer(NewHubServer(h, Config{CacheSize: 8}))
+	defer ts.Close()
+	before := dirNames(t, dir)
 	for _, url := range []string{
 		ts.URL + "/datasets/no/such/versions",
 		ts.URL + "/datasets/no/such/diff?from=a&to=b",
@@ -153,15 +162,42 @@ func TestHubServerUnknownDataset(t *testing.T) {
 			t.Errorf("GET %s status = %d, want 404", url, resp.StatusCode)
 		}
 	}
+	// Only POST /versions may create a dataset: engine requests name
+	// versions, which a never-committed dataset cannot have.
+	for url, body := range map[string]any{
+		ts.URL + "/datasets/no/such/summarize": summarizeRequest{From: "a", To: "b", Target: "bonus"},
+		ts.URL + "/datasets/no/such/timeline":  timelineRequest{Target: "bonus"},
+	} {
+		if resp, out := postJSON(t, url, body); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s status = %d, want 404: %s", url, resp.StatusCode, out)
+		}
+	}
 	refs, err := h.Datasets()
 	if err != nil || len(refs) != 0 {
 		t.Fatalf("read traffic created datasets: %v, %v", refs, err)
+	}
+	if after := dirNames(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("hub root changed from %v to %v", before, after)
 	}
 	// Invalid names are rejected, not treated as missing files.
 	resp, _ := get(t, ts.URL+"/datasets/..%2F..%2Fetc/passwd/versions")
 	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound {
 		t.Errorf("traversal-shaped dataset name: status %d, want 400/404", resp.StatusCode)
 	}
+}
+
+// dirNames lists the entries of dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestHubServerStatsRollup commits into two shards and checks GET /stats
