@@ -11,11 +11,11 @@ package charles
 // cmd/charles-bench.
 
 import (
-	"fmt"
-	"sync"
+	"context"
 	"testing"
 
 	"charles/internal/experiments"
+	"charles/internal/microbench"
 )
 
 func benchExperiment(b *testing.B, id string, quick bool) {
@@ -74,272 +74,30 @@ func BenchmarkE12Ablation(b *testing.B) { benchExperiment(b, "E12", true) }
 func BenchmarkE13Nonlinear(b *testing.B) { benchExperiment(b, "E13", true) }
 
 // ---- micro-benchmarks of the pipeline stages ----
+//
+// Each is defined once, in internal/microbench, and measured under the
+// same name by charles-bench -baseline. In CI, Timeline, StoreChain50,
+// DiffChain50*, LiveExtend* and HubCommit16 run one iteration under -race.
 
-// BenchmarkSummarizeToy times the end-to-end engine on the 9-row toy data
-// (the latency a demo user experiences per click).
-func BenchmarkSummarizeToy(b *testing.B) {
-	src, tgt := ToyDataset()
-	opts := DefaultOptions("bonus")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Summarize(src, tgt, opts); err != nil {
-			b.Fatal(err)
+// micro runs the named micro-benchmark.
+func micro(b *testing.B, name string) {
+	for _, mb := range microbench.List(context.Background()) {
+		if mb.Name == name {
+			mb.Fn(b)
+			return
 		}
 	}
+	b.Fatalf("no micro-benchmark %q", name)
 }
 
-// BenchmarkSummarize2k times the engine on a 2 000-row planted dataset with
-// fixed attribute pools — the per-candidate cost driver.
-func BenchmarkSummarize2k(b *testing.B) {
-	d, err := PlantedDataset(PlantedConfig{N: 2000, Seed: 13, Rules: 3, RuleDepth: 2, UnchangedFrac: 0.3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := DefaultOptions(d.Target)
-	opts.CondAttrs = d.CondAttrs
-	opts.TranAttrs = d.TranAttrs
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Summarize(d.Src, d.Tgt, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAlign times snapshot alignment alone (key index + row matching).
-func BenchmarkAlign(b *testing.B) {
-	d, err := MontgomeryDataset(7, 5000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Align(d.Src, d.Tgt.Clone()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSuggestAttributes times the setup assistant on realistic data.
-func BenchmarkSuggestAttributes(b *testing.B) {
-	d, err := MontgomeryDataset(7, 5000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := SuggestAttributes(d.Src, d.Tgt, d.Target); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTimeline times the batch timeline workload: an 8-step chain with
-// four evolving numeric attributes, steps fanned out over the worker pool
-// and every pair's atom cache / split index shared across its targets. In CI
-// it runs one iteration under -race, giving the worker-pool path race
-// coverage on every push.
-func BenchmarkTimeline(b *testing.B) {
-	snaps, err := ChainDataset(ChainConfig{N: 300, Steps: 8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := DefaultOptions("")
-	base.CondAttrs = []string{"dept", "grade"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mt, err := SummarizeTimelineAll(snaps, base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(mt.Attrs) != 4 {
-			b.Fatalf("attrs = %v", mt.Attrs)
-		}
-	}
-}
-
-// diffChainStore commits the 50-step chain into a memory store tuned so the
-// whole chain stays delta-encoded (one anchor at the root) and warms every
-// cache with one pass over the adjacent pairs — the steady state both diff
-// benchmarks measure.
-func diffChainStore(b *testing.B) (*VersionStore, []string) {
-	b.Helper()
-	snaps, err := ChainDataset(ChainConfig{N: 120, Steps: 50, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := OpenStoreWith("", StoreOptions{TableCache: len(snaps), AnchorEvery: len(snaps) + 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]string, 0, len(snaps))
-	parent := ""
-	for _, snap := range snaps {
-		v, err := st.Commit(snap, parent, "step")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, v.ID)
-		parent = v.ID
-	}
-	for i := 0; i+1 < len(ids); i++ {
-		if _, native, err := st.DiffResult(ids[i], ids[i+1], 1e-9); err != nil || !native {
-			b.Fatalf("pair %d: native=%v err=%v", i, native, err)
-		}
-		if _, err := st.Checkout(ids[i+1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return st, ids
-}
-
-// BenchmarkDiffChain50 times warm change queries over every adjacent pair of
-// a 50-step delta-encoded chain. A cold query is assembled delta-natively —
-// decoded ops from the ChangeSet cache plus one shared parent table, no
-// target reconstruction, no CSV parse, no full row alignment — and the
-// finished answer is memoized (versions are immutable, so it never goes
-// stale); the warm steady state this records is the answer-cache path.
-// Compare BenchmarkDiffChain50Align, the uncached checkout+align path
-// answering the identical queries; the ratio is the speedup recorded in
-// BENCH_baseline.json. In CI it runs one iteration under -race.
-func BenchmarkDiffChain50(b *testing.B) {
-	st, ids := diffChainStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j+1 < len(ids); j++ {
-			res, native, err := st.DiffResult(ids[j], ids[j+1], 1e-9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !native || res.UpdateDistance == 0 {
-				b.Fatalf("pair %d: native=%v distance=%d", j, native, res.UpdateDistance)
-			}
-		}
-	}
-}
-
-// BenchmarkDiffChain50Align answers exactly the queries of
-// BenchmarkDiffChain50 through the classic path: check both versions out
-// (warm table-LRU clones) and align the full row sets.
-func BenchmarkDiffChain50Align(b *testing.B) {
-	st, ids := diffChainStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j+1 < len(ids); j++ {
-			src, err := st.Checkout(ids[j])
-			if err != nil {
-				b.Fatal(err)
-			}
-			tgt, err := st.Checkout(ids[j+1])
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := DiffSnapshots(src, tgt, 1e-9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.UpdateDistance == 0 {
-				b.Fatalf("pair %d: empty diff", j)
-			}
-		}
-	}
-}
-
-// BenchmarkStoreChain50 times a full root→head checkout walk of a 50-step
-// version chain stored delta-encoded: the timeline read pattern. The first
-// iteration reconstructs and parses every version once; every later walk is
-// served from the store's table LRU, so the steady state this records is
-// the zero-parse clone path. In CI it runs one iteration under -race.
-func BenchmarkStoreChain50(b *testing.B) {
-	snaps, err := ChainDataset(ChainConfig{N: 120, Steps: 50, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := OpenStoreWith("", StoreOptions{TableCache: len(snaps)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parent := ""
-	var head string
-	for _, snap := range snaps {
-		v, err := st.Commit(snap, parent, "step")
-		if err != nil {
-			b.Fatal(err)
-		}
-		parent, head = v.ID, v.ID
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chain, err := st.Chain(head)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range chain {
-			if _, err := st.Checkout(v.ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if stats := st.Stats(); stats.Parses != int64(len(snaps)) {
-		b.Fatalf("walks parsed %d times, want exactly %d (first walk only)", stats.Parses, len(snaps))
-	}
-}
-
-// BenchmarkHubCommit16 drives 16 goroutines, each committing a
-// pre-generated 6-step chain into its own fresh dataset of one shared hub:
-// per-shard locking keeps the 16 commit pipelines fully concurrent while
-// every shard's caches charge the one shared memory budget.
-// cmd/charles-bench mirrors it as HubCommit16 in BENCH_baseline.json.
-func BenchmarkHubCommit16(b *testing.B) {
-	const shards = 16
-	chains := make([][]*Table, shards)
-	for g := range chains {
-		snaps, err := ChainDataset(ChainConfig{N: 60, Steps: 6, Seed: int64(g + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		chains[g] = snaps
-	}
-	h, err := OpenHubWith("", HubOptions{MemoryBudget: 64 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, shards)
-		for g := 0; g < shards; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				// A fresh dataset per goroutine per iteration: every commit
-				// is real pack-building work, never a content-address dedup.
-				ds := fmt.Sprintf("d%02d-%d", g, i)
-				parent := ""
-				for _, snap := range chains[g] {
-					v, err := h.Commit("bench", ds, snap, parent, "step")
-					if err != nil {
-						errs <- err
-						return
-					}
-					parent = v.ID
-				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSummarizeToy(b *testing.B)      { micro(b, "SummarizeToy") }
+func BenchmarkSummarize2k(b *testing.B)       { micro(b, "Summarize2k") }
+func BenchmarkAlign(b *testing.B)             { micro(b, "Align5k") }
+func BenchmarkSuggestAttributes(b *testing.B) { micro(b, "SuggestAttributes") }
+func BenchmarkTimeline(b *testing.B)          { micro(b, "Timeline8x4") }
+func BenchmarkLiveExtend10(b *testing.B)      { micro(b, "LiveExtend10") }
+func BenchmarkLiveExtend50(b *testing.B)      { micro(b, "LiveExtend50") }
+func BenchmarkDiffChain50(b *testing.B)       { micro(b, "DiffChain50") }
+func BenchmarkDiffChain50Align(b *testing.B)  { micro(b, "DiffChain50Align") }
+func BenchmarkStoreChain50(b *testing.B)      { micro(b, "StoreChain50") }
+func BenchmarkHubCommit16(b *testing.B)       { micro(b, "HubCommit16") }

@@ -23,6 +23,8 @@
 package charles
 
 import (
+	"context"
+
 	"charles/internal/assist"
 	"charles/internal/core"
 	"charles/internal/diff"
@@ -183,7 +185,7 @@ func ExportSQL(s *Summary, tableName string) string {
 }
 
 // Timeline is the summarized evolution of one attribute across a snapshot
-// sequence (see SummarizeTimeline).
+// sequence (one entry of a MultiTimeline).
 type Timeline = history.Timeline
 
 // TimelineStep is one summarized consecutive pair of a timeline.
@@ -197,26 +199,15 @@ type Drift = history.Drift
 type MultiTimeline = history.MultiTimeline
 
 // SummarizeTimeline extends ChARLES from a snapshot pair to a snapshot
-// sequence D₁…Dₙ: each consecutive step is summarized and the timeline can
-// report policy drift between steps.
-func SummarizeTimeline(snapshots []*Table, opts Options) (*Timeline, error) {
-	return history.Summarize(snapshots, opts)
-}
-
-// SummarizeTimelineAll summarizes an entire snapshot chain across all
-// changed numeric attributes: steps run concurrently on a pool bounded by
-// base.Workers, each consecutive pair is aligned exactly once, and all
-// targets of a pair share one PairContext. base.Target is ignored; the other
-// fields supply the shared parameters, exactly as in SummarizeAll.
-func SummarizeTimelineAll(snapshots []*Table, base Options) (*MultiTimeline, error) {
-	return history.SummarizeAll(snapshots, base)
-}
-
-// SummarizeTimelineTarget summarizes a single attribute across the chain on
-// the same bounded step pool, skipping the engine on steps where the target
-// did not move — the cheap path when only one attribute matters.
-func SummarizeTimelineTarget(snapshots []*Table, target string, base Options) (*Timeline, error) {
-	return history.SummarizeTarget(snapshots, target, base)
+// sequence D₁…Dₙ: each consecutive step is summarized — every changed
+// numeric attribute when target is empty, else only target — and each
+// timeline can report policy drift between steps. Steps run concurrently on
+// a pool bounded by base.Workers, each pair is aligned once, and all
+// targets of a pair share one PairContext; steps where an attribute did not
+// move are marked NoChange without an engine run. base supplies the shared
+// parameters (α, c, t, …); its Target field is ignored.
+func SummarizeTimeline(ctx context.Context, snapshots []*Table, target string, base Options) (*MultiTimeline, error) {
+	return history.Walk(ctx, snapshots, target, base, nil)
 }
 
 // PairContext carries the target-independent derived state of one aligned

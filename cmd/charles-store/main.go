@@ -46,10 +46,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -149,7 +152,7 @@ func dispatch(st *charles.VersionStore, reopen reopenFunc, sub string, rest []st
 	case "summarize":
 		cmdSummarize(st, rest)
 	case "timeline":
-		cmdTimeline(st, reopen, rest)
+		cmdTimeline(os.Stdout, st, reopen, rest)
 	case "stats":
 		cmdStats(st)
 	case "gc":
@@ -394,12 +397,12 @@ func cmdSummarize(st *charles.VersionStore, args []string) {
 	}
 }
 
-// cmdTimeline walks the lineage root→head through the store's cached
-// checkout path and renders each changed numeric attribute's timeline. With
-// -follow it then keeps watching: the store is re-opened every -interval,
-// and each new commit extends an incrementally maintained timeline by one
-// engine step, printing just that step.
-func cmdTimeline(st *charles.VersionStore, reopen reopenFunc, args []string) {
+// cmdTimeline materializes the lineage root→head delta-natively and renders
+// each changed numeric attribute's timeline (only -target's, when given).
+// With -follow it then keeps watching: the store is re-opened every
+// -interval, and each new commit extends an incrementally maintained
+// timeline by one engine step, printing just that step.
+func cmdTimeline(w io.Writer, st *charles.VersionStore, reopen reopenFunc, args []string) {
 	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
 	head := fs.String("head", "", "head version id (default: latest commit)")
 	target := fs.String("target", "", "render only this attribute's timeline")
@@ -408,14 +411,14 @@ func cmdTimeline(st *charles.VersionStore, reopen reopenFunc, args []string) {
 	follow := fs.Bool("follow", false, "keep watching for new commits and render each new step")
 	interval := fs.Duration("interval", 2*time.Second, "poll interval with -follow")
 	mustParse(fs, args)
+	base := charles.DefaultOptions("")
+	base.Alpha = *alpha
+	base.TopK = *topk
 	if *follow {
 		if *head != "" || *target != "" {
 			fatal(fmt.Errorf("timeline -follow tracks the latest head across all attributes; drop -head/-target"))
 		}
-		base := charles.DefaultOptions("")
-		base.Alpha = *alpha
-		base.TopK = *topk
-		followTimeline(reopen, base, *interval)
+		followTimeline(w, reopen, base, *interval)
 		return
 	}
 	id := *head
@@ -426,49 +429,47 @@ func cmdTimeline(st *charles.VersionStore, reopen reopenFunc, args []string) {
 		}
 		id = hv.ID
 	}
-	chain, err := st.Chain(id)
+	ids, err := lineage(st, id)
 	if err != nil {
 		fatal(err)
 	}
-	if len(chain) < 2 {
-		fatal(fmt.Errorf("timeline needs a lineage of at least 2 versions, head %s has %d", id, len(chain)))
+	if len(ids) < 2 {
+		fatal(fmt.Errorf("timeline needs a lineage of at least 2 versions, head %s has %d", id, len(ids)))
+	}
+	ctx := context.Background()
+	snaps, err := charles.MaterializeVersions(ctx, st, ids)
+	if err != nil {
+		fatal(err)
+	}
+	mt, err := charles.SummarizeTimeline(ctx, snaps, *target, base)
+	if err != nil {
+		fatal(err)
+	}
+	if *target != "" {
+		fmt.Fprint(w, mt.Timelines[*target].Render())
+		return
+	}
+	fmt.Fprint(w, mt.Render())
+}
+
+// lineage returns the version ids of head's chain, root → head.
+func lineage(st *charles.VersionStore, head string) ([]string, error) {
+	chain, err := st.Chain(head)
+	if err != nil {
+		return nil, err
 	}
 	ids := make([]string, len(chain))
 	for i, v := range chain {
 		ids[i] = v.ID
 	}
-	base := charles.DefaultOptions("")
-	base.Alpha = *alpha
-	base.TopK = *topk
-	if *target != "" {
-		// Single-target: check the chain out (cache-served) and run only
-		// that attribute's engine passes, with up-front target validation.
-		snaps := make([]*charles.Table, len(ids))
-		for i, vid := range ids {
-			var err error
-			if snaps[i], err = st.Checkout(vid); err != nil {
-				fatal(err)
-			}
-		}
-		tl, err := charles.SummarizeTimelineTarget(snaps, *target, base)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(tl.Render())
-		return
-	}
-	mt, err := charles.SummarizeTimelineChain(st, ids, base)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(mt.Render())
+	return ids, nil
 }
 
 // followTimeline tails a store's lineage forever: render the timeline as it
 // stands, then poll for new commits and advance a TimelineMaintainer one
 // engine step per commit — never re-walking the chain — printing each new
 // step as it lands. Runs until interrupted.
-func followTimeline(reopen reopenFunc, base charles.Options, interval time.Duration) {
+func followTimeline(w io.Writer, reopen reopenFunc, base charles.Options, interval time.Duration) {
 	var m *charles.TimelineMaintainer
 	last := ""
 	for first := true; ; first = false {
@@ -480,102 +481,73 @@ func followTimeline(reopen reopenFunc, base charles.Options, interval time.Durat
 			fmt.Fprintln(os.Stderr, "charles-store: follow:", err)
 			continue
 		}
-		m, last = followOnce(st, m, last, base, first)
+		m, last = followOnce(w, st, m, last, base, first)
 		st.Close()
 	}
 }
 
 // followOnce advances the maintained timeline to st's current head and
-// returns the maintainer and head id for the next poll.
-func followOnce(st *charles.VersionStore, m *charles.TimelineMaintainer, last string, base charles.Options, first bool) (*charles.TimelineMaintainer, string) {
+// returns the maintainer and head id for the next poll. An extension prints
+// one block per new commit; first sight of a lineage, a branch switch, or a
+// step that would not extend prints the whole rebuilt timeline.
+func followOnce(w io.Writer, st *charles.VersionStore, m *charles.TimelineMaintainer, last string, base charles.Options, first bool) (*charles.TimelineMaintainer, string) {
 	hv, err := st.Head()
 	if err != nil {
 		if first {
-			fmt.Println("waiting for the first commit...")
+			fmt.Fprintln(w, "waiting for the first commit...")
 		}
 		return m, last
 	}
 	if hv.ID == last {
 		return m, last
 	}
-	chain, err := st.Chain(hv.ID)
+	ids, err := lineage(st, hv.ID)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charles-store: follow:", err)
 		return m, last
 	}
-	ids := make([]string, len(chain))
-	for i, v := range chain {
-		ids[i] = v.ID
-	}
-	from := -1
-	if m != nil {
-		for i, id := range ids {
-			if id == m.Head() {
-				from = i
-			}
-		}
-	}
-	if m == nil || from == -1 {
-		// First sight of this lineage (or a branch switch): build from
-		// scratch and render everything summarized so far.
-		return followRebuild(st, ids, base), hv.ID
-	}
-	for _, id := range ids[from+1:] {
-		if err := m.ExtendFromSource(st, id); err != nil {
-			// The one-step extension cannot apply (typically a schema
-			// change); fall back to a full rebuild of the new chain.
-			fmt.Printf("[%s] incremental step unavailable (%v); rebuilding\n", id, err)
-			return followRebuild(st, ids, base), hv.ID
-		}
-		renderNewStep(m, id)
-	}
-	return m, hv.ID
-}
-
-// followRebuild seeds a fresh maintainer over the full chain and renders its
-// timeline; a chain still too short to summarize returns nil and waits.
-func followRebuild(st *charles.VersionStore, ids []string, base charles.Options) *charles.TimelineMaintainer {
 	if len(ids) < 2 {
-		fmt.Printf("head %s: waiting for a second version to summarize\n", ids[len(ids)-1])
-		return nil
+		fmt.Fprintf(w, "head %s: waiting for a second version to summarize\n", hv.ID)
+		return nil, hv.ID
 	}
-	snaps, err := charles.MaterializeVersions(st, ids)
+	next, extended, err := charles.AdvanceTimeline(context.Background(), m, st, ids, base)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charles-store: follow:", err)
-		return nil
+		return nil, hv.ID
 	}
-	m, err := charles.NewTimelineMaintainer(snaps, ids, base)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "charles-store: follow:", err)
-		return nil
+	if !extended {
+		fmt.Fprint(w, next.Timeline().Render())
+		return next, hv.ID
 	}
-	fmt.Print(m.Timeline().Render())
-	return m
+	for _, id := range ids[slices.Index(ids, m.Head())+1:] {
+		renderNewStep(w, next, id)
+	}
+	return next, hv.ID
 }
 
-// renderNewStep prints the newest maintained step: one block per attribute
-// with its top summary's CTs, plus the drift note when the step's policy
-// moved against the previous one.
-func renderNewStep(m *charles.TimelineMaintainer, id string) {
-	mt := m.Timeline()
-	fmt.Printf("\n[%s] step %d\n", id, mt.Steps)
+// renderNewStep prints the maintained step ending at id: one block per
+// attribute with its top summary's CTs, plus the drift note when the step's
+// policy moved against the previous one.
+func renderNewStep(w io.Writer, m *charles.TimelineMaintainer, id string) {
+	mt, _, _ := m.TimelineAt(id)
+	fmt.Fprintf(w, "\n[%s] step %d\n", id, mt.Steps)
 	for _, attr := range mt.Attrs {
 		tl := mt.Timelines[attr]
 		s := tl.Steps[len(tl.Steps)-1]
 		switch {
 		case s.NoChange:
-			fmt.Printf("  %s: (no change)\n", attr)
+			fmt.Fprintf(w, "  %s: (no change)\n", attr)
 		case len(s.Ranked) == 0:
-			fmt.Printf("  %s: (no summary recovered)\n", attr)
+			fmt.Fprintf(w, "  %s: (no summary recovered)\n", attr)
 		default:
 			top := s.Ranked[0]
-			fmt.Printf("  %s: score %.1f%%\n", attr, top.Breakdown.Score*100)
+			fmt.Fprintf(w, "  %s: score %.1f%%\n", attr, top.Breakdown.Score*100)
 			for _, ct := range top.Summary.CTs {
-				fmt.Printf("    %s\n", ct)
+				fmt.Fprintf(w, "    %s\n", ct)
 			}
 			for _, d := range tl.Drifts() {
 				if d.StepB == len(tl.Steps)-1 {
-					fmt.Printf("    drift vs step %d: %s\n", d.StepA, d.Note)
+					fmt.Fprintf(w, "    drift vs step %d: %s\n", d.StepA, d.Note)
 				}
 			}
 		}

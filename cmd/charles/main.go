@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -232,18 +233,14 @@ func runTimeline(args []string) {
 	opts.TranAttrs = splitList(*tranList)
 	opts.Workers = *workers
 
-	if *target != "" {
-		// Single-target path: only this attribute's steps run the engine.
-		tl, err := charles.SummarizeTimelineTarget(snaps, *target, opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(tl.Render())
-		return
-	}
-	mt, err := charles.SummarizeTimelineAll(snaps, opts)
+	// With -target only that attribute's steps run the engine.
+	mt, err := charles.SummarizeTimeline(context.Background(), snaps, *target, opts)
 	if err != nil {
 		fatal(err)
+	}
+	if *target != "" {
+		fmt.Print(mt.Timelines[*target].Render())
+		return
 	}
 	fmt.Print(mt.Render())
 }

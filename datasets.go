@@ -42,5 +42,5 @@ type ChainConfig = gen.ChainConfig
 
 // ChainDataset builds a deterministic version chain (cfg.Steps+1 snapshots)
 // in which four numeric attributes evolve under known per-step policies —
-// the timeline workload behind SummarizeTimelineAll and its benchmarks.
+// the timeline workload behind SummarizeTimeline and its benchmarks.
 func ChainDataset(cfg ChainConfig) ([]*Table, error) { return gen.Chain(cfg) }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,12 +60,12 @@ func main() {
 	opts := charles.DefaultOptions("pay")
 	opts.CondAttrs = []string{"seg", "tier", "region"}
 	opts.TranAttrs = []string{"pay"}
-	tl, err := charles.SummarizeTimeline([]*charles.Table{year1, year2, year3}, opts)
+	mt, err := charles.SummarizeTimeline(context.Background(), []*charles.Table{year1, year2, year3}, "pay", opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(tl.Render())
+	fmt.Print(mt.Timelines["pay"].Render())
 
 	// Cross-version summarization straight from the store, exported as SQL.
 	ranked, err := store.Summarize(v2.ID, v3.ID, opts)

@@ -1,6 +1,7 @@
 package charles
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -72,10 +73,11 @@ func TestExportSQLEndToEnd(t *testing.T) {
 func TestSummarizeTimelinePublic(t *testing.T) {
 	d1, d2 := ToyDataset()
 	d3 := d2.Clone()
-	tl, err := SummarizeTimeline([]*Table{d1, d2, d3}, DefaultOptions("bonus"))
+	mt, err := SummarizeTimeline(context.Background(), []*Table{d1, d2, d3}, "bonus", DefaultOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl := mt.Timelines["bonus"]
 	if len(tl.Steps) != 2 || tl.Steps[1].NoChange != true {
 		t.Errorf("timeline steps wrong: %+v", tl.Steps)
 	}

@@ -7,14 +7,14 @@
 //     caller's cancellation — the serving lifecycle depends on one context
 //     flowing from the HTTP request down through the timeline walk, so a
 //     Background() in the middle would quietly make the tail of the walk
-//     uncancellable. Deliberate shims (the non-Context compatibility
-//     wrappers in internal/history, the lifecycle's drain contexts) carry a
-//     lint:allow directive documenting why they own a root context.
+//     uncancellable. The few deliberate root contexts (the serve lifecycle's
+//     drain contexts, the server-lifetime context of the commit pump) carry
+//     a lint:allow directive documenting why they own one.
 //
 //  2. Inside a function that receives a ctx, calling a same-package sibling
 //     F when a ctx-accepting variant FContext exists drops the caller's
-//     context on the floor — the exact rot mode the compatibility wrappers
-//     invite. The call must go to FContext(ctx, ...).
+//     context on the floor — the rot mode a context-less compatibility
+//     wrapper invites. The call must go to FContext(ctx, ...).
 package ctxflow
 
 import (

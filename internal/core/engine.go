@@ -74,8 +74,11 @@ func newEngine(a *diff.Aligned, opts Options, ctx *PairContext) (*engine, error)
 	if err != nil {
 		return nil, err
 	}
+	// A non-finite old or new value (NaN or ±Inf) cannot be clustered or
+	// fitted; such rows are left out exactly as scoring leaves them out.
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for r, ch := range e.changed {
-		if ch && !math.IsNaN(e.oldVals[r]) && !math.IsNaN(e.newVals[r]) {
+		if ch && finite(e.oldVals[r]) && finite(e.newVals[r]) {
 			e.changedRows = append(e.changedRows, r)
 		}
 	}

@@ -126,17 +126,38 @@ func TestDuplicateKeysRejected(t *testing.T) {
 	}
 }
 
-// TestInfiniteTargetIsAnError: a target cell that becomes ±Inf cannot be
-// clustered, and Summarize says so. (The seeded clustering search that
-// exact k-means replaced panicked here on an empty labeling.)
-func TestInfiniteTargetIsAnError(t *testing.T) {
+// TestInfiniteTargetCellsAreSkipped: a target cell that becomes ±Inf cannot
+// be clustered or fitted, so it is left out like a NaN cell. With one
+// infinite bonus the toy data still summarizes with finite scores; with
+// every bonus infinite nothing is left to summarize, which is an empty
+// ranking, not an error.
+func TestInfiniteTargetCellsAreSkipped(t *testing.T) {
 	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
 		src, tgt := gen.Toy()
-		if err := tgt.MustColumn("bonus").Set(0, table.F(inf)); err != nil {
+		bonus := tgt.MustColumn("bonus")
+		if err := bonus.Set(0, table.F(inf)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Summarize(src, tgt, DefaultOptions("bonus")); err == nil {
-			t.Errorf("bonus %v: Summarize succeeded, want an error", inf)
+		ranked, err := Summarize(src, tgt, DefaultOptions("bonus"))
+		if err != nil {
+			t.Fatalf("bonus %v: %v", inf, err)
+		}
+		if len(ranked) == 0 {
+			t.Fatalf("bonus %v: nothing ranked", inf)
+		}
+		for _, r := range ranked {
+			if s := r.Breakdown.Score; math.IsNaN(s) || math.IsInf(s, 0) {
+				t.Errorf("bonus %v: non-finite score %v", inf, s)
+			}
+		}
+		for r := 0; r < tgt.NumRows(); r++ {
+			if err := bonus.Set(r, table.F(inf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ranked, err = Summarize(src, tgt, DefaultOptions("bonus"))
+		if err != nil || len(ranked) != 0 {
+			t.Errorf("every bonus %v: %d ranked, err %v; want an empty ranking and no error", inf, len(ranked), err)
 		}
 	}
 }

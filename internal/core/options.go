@@ -100,7 +100,7 @@ type Options struct {
 	// candidates are merged in subset order, so of two that tie on
 	// fingerprint and score the first in (T, C, k) order wins, and the
 	// ranking sorts with total-order tie-breaks. The timeline layer
-	// (history.SummarizeAll) reuses the same knob to bound its per-step
+	// (history.Walk) reuses the same knob to bound its per-step
 	// worker pool, giving each engine run one worker when the step pool is
 	// parallel so total concurrency stays at the bound.
 	Workers int

@@ -18,6 +18,7 @@ import (
 	"charles/internal/core"
 	"charles/internal/diff"
 	"charles/internal/model"
+	"charles/internal/store"
 	"charles/internal/table"
 )
 
@@ -48,32 +49,6 @@ type Timeline struct {
 	Steps  []Step
 }
 
-// Summarize runs the engine over every consecutive pair of snapshots. All
-// snapshots must share the schema and entity set of the first; opts.Target
-// selects the attribute. Steps where the target did not change are marked
-// rather than summarized.
-func Summarize(snapshots []*table.Table, opts core.Options) (*Timeline, error) {
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	tl := &Timeline{Target: opts.Target}
-	for i := 0; i+1 < len(snapshots); i++ {
-		ranked, err := core.Summarize(snapshots[i], snapshots[i+1], opts)
-		if err != nil {
-			return nil, fmt.Errorf("history: step %d→%d: %w", i, i+1, err)
-		}
-		step := Step{From: i, To: i + 1, Ranked: ranked}
-		// The engine tags its "nothing changed" result explicitly; trust
-		// that signal instead of inferring it from summary shape (a real
-		// change step can legitimately rank a single summary).
-		if len(ranked) > 0 && ranked[0].NoChange {
-			step.NoChange = true
-		}
-		tl.Steps = append(tl.Steps, step)
-	}
-	return tl, nil
-}
-
 // MultiTimeline is the summarized evolution of every changed numeric
 // attribute across a snapshot sequence — the batch form of Timeline.
 type MultiTimeline struct {
@@ -97,62 +72,23 @@ type MultiTimeline struct {
 // calls run.
 type Memo func(i int, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error)
 
-// SummarizeAll summarizes an entire version chain across all changed numeric
-// attributes: each consecutive snapshot pair is aligned exactly once, every
-// changed attribute of the pair runs through one shared core.PairContext
-// (one atom cache and one split index per pair, regardless of how many
-// targets it has), and the steps are fanned out over a worker pool bounded
-// by base.Workers (0 = GOMAXPROCS). When the step pool is parallel, each
-// engine run is single-threaded so total concurrency stays at the bound
-// rather than squaring it; a single-step chain gets the full budget inside
-// the one engine run.
-//
-// The result is bit-identical to the sequential per-pair, per-target loop —
-// steps are independent and merged in step order, and the engine itself is
-// deterministic and independent of its worker count.
-func SummarizeAll(snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
-	return SummarizeAllContext(context.Background(), snapshots, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeAllContext
-}
-
-// SummarizeAllContext is SummarizeAll bounded by ctx: a cancelled or expired
-// context stops the step pool from dispatching further steps and returns the
-// context's error. Steps already running finish their current engine pass
-// (the engine itself is not preemptible) before the pool drains.
-func SummarizeAllContext(ctx context.Context, snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
-	return Walk(ctx, snapshots, "", base, nil)
-}
-
-// SummarizeTarget summarizes one attribute across the chain on the same
-// bounded step pool as SummarizeAll, skipping the engine entirely on steps
-// where the target did not move. Results are bit-identical to Summarize
-// (the sequential single-target path) except that unchanged steps carry no
-// Ranked entry at all rather than the engine's explicit no-change result.
-func SummarizeTarget(snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	return SummarizeTargetContext(context.Background(), snapshots, target, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeTargetContext
-}
-
-// SummarizeTargetContext is SummarizeTarget bounded by ctx (see
-// SummarizeAllContext for the cancellation semantics).
-func SummarizeTargetContext(ctx context.Context, snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	if target == "" {
-		// Walk reads an empty target as "every attribute".
-		return nil, fmt.Errorf("history: unknown target attribute %q", target)
-	}
-	mt, err := Walk(ctx, snapshots, target, base, nil)
-	if err != nil {
-		return nil, err
-	}
-	return mt.Timelines[target], nil
-}
-
 // Walk is the one step loop behind every timeline: it summarizes each
 // consecutive pair of snapshots — every changed numeric attribute, or only
-// target when it is non-empty — on SummarizeAll's step pool bounded by
-// base.Workers, and routes every (step, target) engine run through memo
-// (nil runs the engine directly). A step aligns its pair once
-// and builds the pair's PairContext on its first engine run, so a step the
-// memo answers entirely builds none. A target that did not move on a step
-// is marked NoChange there without an engine run.
+// target when it is non-empty — and routes every (step, target) engine run
+// through memo (nil runs the engine directly). All snapshots must share the
+// schema and entity set of the first. A step aligns its pair once and
+// builds the pair's PairContext on its first engine run, so every target of
+// a pair shares one atom cache and split index, and a step the memo answers
+// entirely builds none. A target that did not move on a step is marked
+// NoChange there without an engine run (and carries no Ranked entry).
+//
+// Steps fan out over a pool bounded by base.Workers (0 = GOMAXPROCS); when
+// the pool is parallel each engine run is single-threaded, so total
+// concurrency stays at the bound rather than squaring it. The result is
+// bit-identical to the sequential per-pair, per-target loop: steps are
+// independent and merged in step order, and the engine is deterministic and
+// independent of its worker count. A cancelled or expired ctx stops the
+// pool from dispatching further steps and returns the context's error.
 //
 // A non-empty target must be a numeric, non-key attribute: a misspelled,
 // categorical or key attribute never moves as a numeric target, and must
@@ -200,61 +136,17 @@ func checkTarget(first *table.Table, target string) error {
 	return nil
 }
 
-// CheckoutSource abstracts a version store that can materialize stored
-// snapshots — the cache-aware checkout path behind store-backed timeline
-// walks. store.Store satisfies it: its Checkout serves warm walks from a
-// size-bounded table LRU, so repeating a timeline does no CSV parsing.
-type CheckoutSource interface {
-	Checkout(id string) (*table.Table, error)
-}
-
-// DeltaSource is a CheckoutSource that can additionally serve a version's
-// decoded delta ops (store.Store satisfies it). Chain materialization uses
-// the ops to derive each snapshot incrementally from its predecessor instead
-// of reconstructing and parsing every version from storage.
-type DeltaSource interface {
-	CheckoutSource
-	// DeltaOps returns id's decoded row-level ops against its base version,
-	// with Materialized set for versions stored whole. The result is shared:
-	// callers must not mutate it.
-	DeltaOps(id string) (*diff.ChangeSet, error)
-}
-
-// CachedCheckoutSource is a CheckoutSource that can report whether a
-// snapshot is already decoded and resident (store.Store satisfies it), so a
-// materializer can prefer the cheap warm path over re-applying deltas.
-type CachedCheckoutSource interface {
-	CheckoutCached(id string) (*table.Table, bool)
-}
-
-// SnapshotAdmitter is a source that can verify an externally materialized
-// snapshot against its content id and adopt it into its own caches
-// (store.Store satisfies it). Chain materialization runs every
-// delta-applied table through it, so a decodable-but-tampered delta pack
-// cannot slip wrong data into a timeline — a failed check falls back to
-// Checkout, which verifies the raw bytes and surfaces real corruption as an
-// error — and a verified walk warms the same table cache a parsing walk
-// would, keeping repeat walks on the cheap CheckoutCached clone path.
-type SnapshotAdmitter interface {
-	AdmitSnapshot(id string, t *table.Table) error
-}
-
-// MaterializeChain materializes the version ids in order, delta-natively
-// where possible: the first id (and every id whose table is already cached)
-// is checked out, and each subsequent id is derived by applying its delta
-// ops to the previous snapshot — so a cold walk of an n-version chain does
-// one CSV parse at the root instead of n. Anchors, versions whose ops do not
-// apply cleanly (diff.ApplyChangeSet's canonical-encoding requirements), and
-// plain CheckoutSources fall back to a regular checkout per id. The returned
-// tables are identical to per-id checkouts, row order included.
-func MaterializeChain(src CheckoutSource, ids []string) ([]*table.Table, error) {
-	return MaterializeChainContext(context.Background(), src, ids) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls MaterializeChainContext
-}
-
-// MaterializeChainContext is MaterializeChain bounded by ctx: the walk
-// checks for cancellation before each version, so a caller abandoning a
-// long chain stops paying for checkouts it will never read.
-func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []string) ([]*table.Table, error) {
+// MaterializeChainContext materializes the version ids in order,
+// delta-natively where possible: the first id (and every id whose table is
+// already cached) is checked out, and each later id is derived by applying
+// its delta ops to the previous snapshot — so a cold walk of an n-version
+// chain does one CSV parse at the root instead of n. Anchors and versions
+// whose ops do not apply cleanly (diff.ApplyChangeSet's canonical-encoding
+// requirements) fall back to a regular checkout. The returned tables are
+// identical to per-id checkouts, row order included. The walk checks ctx
+// before each version, so a caller abandoning a long chain stops paying for
+// checkouts it will never read.
+func MaterializeChainContext(ctx context.Context, st *store.Store, ids []string) ([]*table.Table, error) {
 	out := make([]*table.Table, len(ids))
 	var prevID string
 	var prev *table.Table
@@ -262,7 +154,7 @@ func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []stri
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t, err := MaterializeStep(src, prevID, prev, id)
+		t, err := materializeStep(st, prevID, prev, id)
 		if err != nil {
 			return nil, err
 		}
@@ -271,60 +163,31 @@ func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []stri
 	return out, nil
 }
 
-// MaterializeStep materializes one version delta-natively when possible:
+// materializeStep materializes one version delta-natively when possible:
 // the cached-table path first, then applying id's ChangeSet to prev (the
 // already materialized snapshot of prevID, id's parent; nil at a chain
-// root), then a plain checkout.
-func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
-	if cc, ok := src.(CachedCheckoutSource); ok {
-		if t, ok := cc.CheckoutCached(id); ok {
-			return t, nil
-		}
+// root), then a plain checkout. An applied table carries the same
+// tamper-evidence as a checkout: the store verifies it against the content
+// id and admits it into its table cache, so a decodable-but-tampered delta
+// pack cannot slip wrong data into a timeline (a failed check falls through
+// to Checkout, which verifies the raw bytes itself) and the next walk takes
+// the warm clone path.
+func materializeStep(st *store.Store, prevID string, prev *table.Table, id string) (*table.Table, error) {
+	if t, ok := st.CheckoutCached(id); ok {
+		return t, nil
 	}
-	if ds, ok := src.(DeltaSource); ok && prev != nil {
-		if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
-			if t, err := diff.ApplyChangeSet(prev, cs); err == nil {
-				// Applied tables carry the same tamper-evidence as
-				// checkouts: verify against the content id before trusting
-				// them (a failure falls through to Checkout, which verifies
-				// the raw bytes itself), and admit the verified table into
-				// the source's cache so the next walk takes the warm clone
-				// path.
-				sa, _ := src.(SnapshotAdmitter)
-				if sa == nil || sa.AdmitSnapshot(id, t) == nil {
-					return t, nil
-				}
+	if prev != nil {
+		if cs, err := st.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
+			if t, err := diff.ApplyChangeSet(prev, cs); err == nil && st.AdmitSnapshot(id, t) == nil {
+				return t, nil
 			}
 		}
 	}
-	t, err := src.Checkout(id)
+	t, err := st.Checkout(id)
 	if err != nil {
 		return nil, fmt.Errorf("history: version %s: %w", id, err)
 	}
 	return t, nil
-}
-
-// SummarizeChain materializes the given version ids in order through src —
-// delta-natively when src is a DeltaSource: one checkout at the chain root,
-// then step-by-step application of each version's ChangeSet — and summarizes
-// every changed numeric attribute of every consecutive pair via
-// SummarizeAll. It is the store-backed batch timeline: ids usually come from
-// Store.Chain(head).
-func SummarizeChain(src CheckoutSource, ids []string, base core.Options) (*MultiTimeline, error) {
-	return SummarizeChainContext(context.Background(), src, ids, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeChainContext
-}
-
-// SummarizeChainContext is SummarizeChain bounded by ctx: both the chain
-// materialization and the step pool observe cancellation.
-func SummarizeChainContext(ctx context.Context, src CheckoutSource, ids []string, base core.Options) (*MultiTimeline, error) {
-	if len(ids) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 versions, got %d", len(ids))
-	}
-	snapshots, err := MaterializeChainContext(ctx, src, ids)
-	if err != nil {
-		return nil, err
-	}
-	return SummarizeAllContext(ctx, snapshots, base)
 }
 
 // forEachStep runs fn for every step index on a pool bounded by

@@ -13,6 +13,20 @@ import (
 	"charles/internal/table"
 )
 
+// walkAll is Walk over every changed numeric attribute, memo-free.
+func walkAll(snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
+	return Walk(context.Background(), snapshots, "", base, nil)
+}
+
+// walkTarget is the single-target timeline: Walk restricted to target.
+func walkTarget(snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
+	mt, err := Walk(context.Background(), snapshots, target, base, nil)
+	if err != nil {
+		return nil, err
+	}
+	return mt.Timelines[target], nil
+}
+
 // threeSnapshots builds D1→D2→D3: step 1 applies the toy policy (R1–R3),
 // step 2 leaves everything unchanged.
 func threeSnapshots(t *testing.T) []*table.Table {
@@ -24,7 +38,7 @@ func threeSnapshots(t *testing.T) []*table.Table {
 
 func TestTimelineSummarizesEachStep(t *testing.T) {
 	snaps := threeSnapshots(t)
-	tl, err := Summarize(snaps, core.DefaultOptions("bonus"))
+	tl, err := walkTarget(snaps, "bonus", core.DefaultOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +61,11 @@ func TestTimelineSummarizesEachStep(t *testing.T) {
 
 func TestTimelineValidation(t *testing.T) {
 	d1, _ := gen.Toy()
-	if _, err := Summarize([]*table.Table{d1}, core.DefaultOptions("bonus")); err == nil {
+	if _, err := walkTarget([]*table.Table{d1}, "bonus", core.DefaultOptions("")); err == nil {
 		t.Error("single snapshot accepted")
 	}
 	other := table.MustNew(table.Schema{{Name: "x", Type: table.Int}})
-	if _, err := Summarize([]*table.Table{d1, other}, core.DefaultOptions("bonus")); err == nil {
+	if _, err := walkTarget([]*table.Table{d1, other}, "bonus", core.DefaultOptions("")); err == nil {
 		t.Error("schema drift accepted")
 	}
 }
@@ -59,7 +73,7 @@ func TestTimelineValidation(t *testing.T) {
 func TestDriftDetection(t *testing.T) {
 	// D1→D2 applies the policy, D2→D3 applies nothing: activity toggles.
 	snaps := threeSnapshots(t)
-	tl, err := Summarize(snaps, core.DefaultOptions("bonus"))
+	tl, err := walkTarget(snaps, "bonus", core.DefaultOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +107,7 @@ func TestDriftPolicyHeld(t *testing.T) {
 	opts := core.DefaultOptions("pay")
 	opts.CondAttrs = d.CondAttrs
 	opts.TranAttrs = d.TranAttrs
-	tl, err := Summarize([]*table.Table{d.Src, d.Tgt, d3}, opts)
+	tl, err := walkTarget([]*table.Table{d.Src, d.Tgt, d3}, "pay", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +122,7 @@ func TestDriftPolicyHeld(t *testing.T) {
 
 func TestRender(t *testing.T) {
 	snaps := threeSnapshots(t)
-	tl, err := Summarize(snaps, core.DefaultOptions("bonus"))
+	tl, err := walkTarget(snaps, "bonus", core.DefaultOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +142,7 @@ func TestOneSummaryChangeStepNotMarkedNoChange(t *testing.T) {
 	d1, d2 := gen.Toy()
 	opts := core.DefaultOptions("bonus")
 	opts.TopK = 1 // force a one-summary result on a real change step
-	tl, err := Summarize([]*table.Table{d1, d2, d2.Clone()}, opts)
+	tl, err := walkTarget([]*table.Table{d1, d2, d2.Clone()}, "bonus", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +159,9 @@ func TestOneSummaryChangeStepNotMarkedNoChange(t *testing.T) {
 	if step.Ranked[0].NoChange {
 		t.Error("engine tagged a change result as NoChange")
 	}
-	// And the genuine no-change step carries the explicit engine signal.
+	// And the genuine no-change step is marked without an engine run.
 	quiet := tl.Steps[1]
-	if !quiet.NoChange || len(quiet.Ranked) != 1 || !quiet.Ranked[0].NoChange {
+	if !quiet.NoChange || len(quiet.Ranked) != 0 {
 		t.Errorf("no-change step signal: step=%+v", quiet)
 	}
 }
@@ -179,7 +193,7 @@ func TestEmptyRankedStepGuards(t *testing.T) {
 	}
 	// Mixed: one real step, one empty — also must not panic.
 	snaps := threeSnapshots(t)
-	real, err := Summarize(snaps, core.DefaultOptions("bonus"))
+	real, err := walkTarget(snaps, "bonus", core.DefaultOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +245,7 @@ func TestSummarizeAllDifferential(t *testing.T) {
 	}
 	base := chainOpts()
 	base.Workers = 4
-	mt, err := SummarizeAll(snaps, base)
+	mt, err := walkAll(snaps, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +329,7 @@ func TestSummarizeAllEightStepChain(t *testing.T) {
 	base := chainOpts()
 	base.Workers = 4
 	c0, i0 := core.AccelBuilds()
-	mt, err := SummarizeAll(snaps, base)
+	mt, err := walkAll(snaps, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +357,7 @@ func TestSummarizeAllEightStepChain(t *testing.T) {
 
 	seq := chainOpts()
 	seq.Workers = 1
-	mtSeq, err := SummarizeAll(snaps, seq)
+	mtSeq, err := walkAll(snaps, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,11 +401,11 @@ func TestSummarizeAllEightStepChain(t *testing.T) {
 // TestSummarizeAllValidation mirrors the single-target validation contract.
 func TestSummarizeAllValidation(t *testing.T) {
 	d1, _ := gen.Toy()
-	if _, err := SummarizeAll([]*table.Table{d1}, core.DefaultOptions("")); err == nil {
+	if _, err := walkAll([]*table.Table{d1}, core.DefaultOptions("")); err == nil {
 		t.Error("single snapshot accepted")
 	}
 	other := table.MustNew(table.Schema{{Name: "x", Type: table.Int}})
-	if _, err := SummarizeAll([]*table.Table{d1, other}, core.DefaultOptions("")); err == nil {
+	if _, err := walkAll([]*table.Table{d1, other}, core.DefaultOptions("")); err == nil {
 		t.Error("schema drift accepted")
 	}
 }
@@ -407,7 +421,7 @@ func TestSummarizeTargetMatchesSequential(t *testing.T) {
 	base := chainOpts()
 	base.Workers = 4
 	for _, target := range []string{"salary", "overtime"} {
-		tl, err := SummarizeTarget(snaps, target, base)
+		tl, err := walkTarget(snaps, target, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +461,7 @@ func TestSummarizeTargetMatchesSequential(t *testing.T) {
 		}
 	}
 	// overtime changes only on even steps: the timeline must show that.
-	tl, err := SummarizeTarget(snaps, "overtime", base)
+	tl, err := walkTarget(snaps, "overtime", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,24 +471,24 @@ func TestSummarizeTargetMatchesSequential(t *testing.T) {
 		}
 	}
 	// Validation mirrors the batch path.
-	if _, err := SummarizeTarget(snaps[:1], "salary", base); err == nil {
+	if _, err := walkTarget(snaps[:1], "salary", base); err == nil {
 		t.Error("single snapshot accepted")
 	}
-	if _, err := SummarizeTarget(snaps, "ghost", base); err == nil {
+	if _, err := walkTarget(snaps, "ghost", base); err == nil {
 		t.Error("unknown target accepted")
 	}
 	// A categorical target errors up front instead of yielding a plausible
 	// all-no-change timeline (the serve layer 400s the same request).
-	if _, err := SummarizeTarget(snaps, "dept", base); err == nil {
+	if _, err := walkTarget(snaps, "dept", base); err == nil {
 		t.Error("categorical target accepted")
 	}
 }
 
-// TestSummarizeChainMatchesSummarizeAll pins the store-backed timeline
-// entry point: walking version ids through a CheckoutSource must yield a
+// TestSummarizeChainMatchesSummarizeAll pins the store-backed timeline:
+// walking version ids materialized by MaterializeChainContext must yield a
 // MultiTimeline bit-identical to checking the snapshots out by hand and
-// running SummarizeAll — and the second walk must be parse-free (served
-// from the store's table cache).
+// walking those — and the second walk must be parse-free (served from the
+// store's table cache).
 func TestSummarizeChainMatchesSummarizeAll(t *testing.T) {
 	snaps, err := gen.Chain(gen.ChainConfig{N: 40, Steps: 3, Seed: 5})
 	if err != nil {
@@ -496,7 +510,14 @@ func TestSummarizeChainMatchesSummarizeAll(t *testing.T) {
 	}
 	base := core.DefaultOptions("")
 	base.CondAttrs = []string{"dept", "grade"}
-	got, err := SummarizeChain(st, ids, base)
+	walkChain := func(ids []string) (*MultiTimeline, error) {
+		mats, err := MaterializeChainContext(context.Background(), st, ids)
+		if err != nil {
+			return nil, err
+		}
+		return walkAll(mats, base)
+	}
+	got, err := walkChain(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,32 +527,32 @@ func TestSummarizeChainMatchesSummarizeAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := SummarizeAll(ref, base)
+	want, err := walkAll(ref, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("SummarizeChain differs from SummarizeAll over the checked-out snapshots")
+		t.Error("the materialized chain's walk differs from the walk over the checked-out snapshots")
 	}
 	parses := st.Stats().Parses
-	if _, err := SummarizeChain(st, ids, base); err != nil {
+	if _, err := walkChain(ids); err != nil {
 		t.Fatal(err)
 	}
 	if again := st.Stats().Parses; again != parses {
 		t.Errorf("second chain walk parsed %d more snapshots, want 0 (cache-served)", again-parses)
 	}
 
-	if _, err := SummarizeChain(st, ids[:1], base); err == nil {
+	if _, err := walkChain(ids[:1]); err == nil {
 		t.Error("single-version chain accepted")
 	}
-	if _, err := SummarizeChain(st, []string{"nope", "nope2"}, base); err == nil || !strings.Contains(err.Error(), "nope") {
+	if _, err := walkChain([]string{"nope", "nope2"}); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown id err = %v, want the id named", err)
 	}
 }
 
 // TestMaterializeChainMatchesCheckout is the delta-materialization
 // differential: on random mutation chains (cell edits, inserts, deletes,
-// adversarial string cells, anchors mid-chain), MaterializeChain must
+// adversarial string cells, anchors mid-chain), MaterializeChainContext must
 // return exactly the tables per-id checkouts return — schema types, values,
 // and row order — whichever mix of delta application, verification
 // fallback, and anchor checkout each version takes. The raw
@@ -560,7 +581,7 @@ func TestMaterializeChainMatchesCheckout(t *testing.T) {
 		}
 		// The table cache is cold right after committing (commits warm only
 		// the blob cache), so this walk exercises delta application.
-		got, err := MaterializeChain(st, ids)
+		got, err := MaterializeChainContext(context.Background(), st, ids)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -631,7 +652,7 @@ func TestMaterializeChainIsParseFreeOnCanonicalChains(t *testing.T) {
 		ids = append(ids, v.ID)
 		parent = v.ID
 	}
-	got, err := MaterializeChain(st, ids)
+	got, err := MaterializeChainContext(context.Background(), st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +662,7 @@ func TestMaterializeChainIsParseFreeOnCanonicalChains(t *testing.T) {
 	// Verified applied tables were admitted into the table LRU, so a repeat
 	// walk is all warm clone hits: no parsing, no re-application.
 	hitsBefore := st.Stats().CacheHits
-	again, err := MaterializeChain(st, ids)
+	again, err := MaterializeChainContext(context.Background(), st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +688,7 @@ func TestMaterializeChainIsParseFreeOnCanonicalChains(t *testing.T) {
 
 // TestSummarizeAllWorkerCountIndependent pins the engine's worker-count
 // independence where timelines read it, down to provenance and tie order:
-// on every step of gen.Chain seeds 1–3, a one-step SummarizeAllContext —
+// on every step of gen.Chain seeds 1–3, a one-step Walk —
 // whose single engine run gets the whole worker budget — must render in
 // full identically for Workers 1, 2 and 8, five runs per parallel count.
 func TestSummarizeAllWorkerCountIndependent(t *testing.T) {
@@ -681,7 +702,7 @@ func TestSummarizeAllWorkerCountIndependent(t *testing.T) {
 			render := func(workers int) string {
 				base := core.DefaultOptions("")
 				base.Workers = workers
-				mt, err := SummarizeAllContext(ctx, snaps[i:i+2], base)
+				mt, err := Walk(ctx, snaps[i:i+2], "", base, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -720,13 +741,13 @@ func TestSummarizeTargetRejectsKeyColumn(t *testing.T) {
 		snaps = append(snaps, tb)
 	}
 	base := core.DefaultOptions("")
-	if _, err := SummarizeTarget(snaps, "id", base); err == nil || !strings.Contains(err.Error(), "unknown target attribute") {
+	if _, err := walkTarget(snaps, "id", base); err == nil || !strings.Contains(err.Error(), "unknown target attribute") {
 		t.Errorf("key target err = %v, want unknown target attribute", err)
 	}
-	if _, err := SummarizeTarget(snaps, "dept", base); err == nil || !strings.Contains(err.Error(), "is not numeric") {
+	if _, err := walkTarget(snaps, "dept", base); err == nil || !strings.Contains(err.Error(), "is not numeric") {
 		t.Errorf("categorical target err = %v, want not numeric", err)
 	}
-	if _, err := SummarizeTarget(snaps, "salary", base); err != nil {
+	if _, err := walkTarget(snaps, "salary", base); err != nil {
 		t.Errorf("numeric target: %v", err)
 	}
 }

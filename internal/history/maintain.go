@@ -4,18 +4,21 @@
 // answering under updates" idea (Berkholz/Keppeler/Schweikardt,
 // arXiv:1702.08764) applied to change summarization. Extension work is
 // O(one step) regardless of chain length, and the maintained MultiTimeline
-// is bit-identical to a from-scratch SummarizeAll rebuild of the same
-// chain: both paths run the same step of the same deterministic,
-// worker-count-independent engine on the same pairs and merge with the same
-// mergeSteps.
+// is bit-identical to a from-scratch Walk of the same chain: both paths
+// run the same step of the same deterministic, worker-count-independent
+// engine on the same pairs and merge with the same mergeSteps. Advance is
+// the one rule that moves a maintainer to a new head: extend along the
+// lineage, or rebuild.
 
 package history
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"charles/internal/core"
+	"charles/internal/store"
 	"charles/internal/table"
 )
 
@@ -30,25 +33,20 @@ type TimelineMaintainer struct {
 	results []*core.MultiResult // one per consecutive pair
 }
 
-// NewTimelineMaintainer summarizes the seed chain and returns a maintainer
-// positioned at its head. snapshots and ids must be parallel (root → head)
-// with at least 2 entries. The snapshots are retained only at the
+// NewTimelineMaintainerContext summarizes the seed chain and returns a
+// maintainer positioned at its head. snapshots and ids must be parallel
+// (root → head) with at least 2 entries. The seed walk runs on Walk's
+// bounded step pool under ctx. The snapshots are retained only at the
 // endpoints: first (for schema-ordered merging) and last (the pair source
 // for the next Extend).
-func NewTimelineMaintainer(snapshots []*table.Table, ids []string, base core.Options) (*TimelineMaintainer, error) {
-	return NewTimelineMaintainerContext(context.Background(), snapshots, ids, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls NewTimelineMaintainerContext
-}
-
-// NewTimelineMaintainerContext is NewTimelineMaintainer bounded by ctx (the
-// seed walk runs on the same bounded step pool as SummarizeAllContext).
 func NewTimelineMaintainerContext(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options) (*TimelineMaintainer, error) {
-	return NewTimelineMaintainerMemo(ctx, snapshots, ids, base, nil)
+	return newMaintainer(ctx, snapshots, ids, base, nil)
 }
 
-// NewTimelineMaintainerMemo is NewTimelineMaintainerContext with the seed
-// walk's engine runs routed through memo (see Walk). Steps appended later by
-// Extend run the engine directly.
-func NewTimelineMaintainerMemo(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
+// newMaintainer is NewTimelineMaintainerContext with the seed walk's engine
+// runs routed through memo (see Walk). Steps appended later by Extend run
+// the engine directly.
+func newMaintainer(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
 	if len(snapshots) != len(ids) {
 		return nil, fmt.Errorf("history: %d snapshots but %d ids", len(snapshots), len(ids))
 	}
@@ -63,6 +61,40 @@ func NewTimelineMaintainerMemo(ctx context.Context, snapshots []*table.Table, id
 		last:    snapshots[len(snapshots)-1],
 		results: results,
 	}, nil
+}
+
+// Advance brings m to the head of the lineage ids (version ids root → head,
+// at least 2) and reports whether it got there by extension. When m's head
+// is on ids, each later version is appended by ExtendFromSource — one
+// engine step apiece, run directly. Otherwise — m is nil, on another
+// branch, or a step will not extend (a schema change, say) — it seeds a new
+// maintainer over ids under base, its engine runs routed through memo. The
+// extension works on a fork, so m itself is never left half-extended. ctx
+// is checked before each extension step and bounds the seed walk.
+func Advance(ctx context.Context, m *TimelineMaintainer, st *store.Store, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, bool, error) {
+	if m != nil {
+		if at := slices.Index(ids, m.Head()); at >= 0 {
+			next, extended := m.Fork(), true
+			for _, id := range ids[at+1:] {
+				if err := ctx.Err(); err != nil {
+					return nil, false, err
+				}
+				if next.ExtendFromSource(st, id) != nil {
+					extended = false
+					break
+				}
+			}
+			if extended {
+				return next, true, nil
+			}
+		}
+	}
+	snapshots, err := MaterializeChainContext(ctx, st, ids)
+	if err != nil {
+		return nil, false, err
+	}
+	next, err := newMaintainer(ctx, snapshots, ids, base, memo)
+	return next, false, err
 }
 
 // Head returns the version id the maintainer is currently positioned at.
@@ -92,12 +124,12 @@ func (m *TimelineMaintainer) Extend(id string, next *table.Table) error {
 	return nil
 }
 
-// ExtendFromSource is Extend with the new head materialized through src:
-// delta-natively against the maintainer's retained head snapshot when src
-// serves delta ops, falling back to a checkout. The maintainer must
-// currently be positioned at the new version's parent.
-func (m *TimelineMaintainer) ExtendFromSource(src CheckoutSource, id string) error {
-	next, err := MaterializeStep(src, m.Head(), m.last, id)
+// ExtendFromSource is Extend with the new head materialized from st:
+// delta-natively against the maintainer's retained head snapshot, falling
+// back to a checkout. The maintainer must currently be positioned at the
+// new version's parent.
+func (m *TimelineMaintainer) ExtendFromSource(st *store.Store, id string) error {
+	next, err := materializeStep(st, m.Head(), m.last, id)
 	if err != nil {
 		return err
 	}
@@ -105,7 +137,7 @@ func (m *TimelineMaintainer) ExtendFromSource(src CheckoutSource, id string) err
 }
 
 // Timeline assembles the maintained MultiTimeline. The assembly is the same
-// mergeSteps that SummarizeAll uses, over the same per-step results, so the
+// mergeSteps that Walk uses, over the same per-step results, so the
 // output is bit-identical to a from-scratch rebuild of the same chain.
 func (m *TimelineMaintainer) Timeline() *MultiTimeline {
 	return mergeSteps(m.first, "", m.results)

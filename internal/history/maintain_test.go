@@ -1,6 +1,7 @@
 package history
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,10 +15,9 @@ import (
 )
 
 // maintainBase is the option set every maintainer test runs under.
-// Workers=1 makes SummarizeAll emit the engine's canonical deterministic
-// form even on 1-step chains (multi-step chains always collapse to it; see
-// forEachStep), so maintained and rebuilt timelines can be compared
-// bit-for-bit at every prefix length.
+// Workers=1 keeps maintained and rebuilt walks on the same sequential
+// step pool, so their timelines can be compared bit-for-bit at every
+// prefix length.
 func maintainBase() core.Options {
 	base := core.DefaultOptions("")
 	base.Workers = 1
@@ -120,7 +120,7 @@ func commitMutateChain(t *testing.T, cfg gen.FuzzConfig) (*store.Store, []string
 	if len(ids) < 3 {
 		t.Fatalf("projected chain too short: %d versions", len(ids))
 	}
-	mats, err := MaterializeChain(st, ids)
+	mats, err := MaterializeChainContext(context.Background(), st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +131,12 @@ func commitMutateChain(t *testing.T, cfg gen.FuzzConfig) (*store.Store, []string
 // acceptance differential: across 5 MutateChain seeds, a maintainer seeded
 // on the 2-version prefix and extended one commit at a time must produce,
 // at every prefix length, a MultiTimeline bit-identical to a from-scratch
-// SummarizeAll over the same snapshots.
+// Walk over the same snapshots.
 func TestTimelineMaintainerDifferential(t *testing.T) {
 	base := maintainBase()
 	for seed := int64(1); seed <= 5; seed++ {
 		st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 20, Steps: 5, Seed: seed})
-		m, err := NewTimelineMaintainer(mats[:2], ids[:2], base)
+		m, err := NewTimelineMaintainerContext(context.Background(), mats[:2], ids[:2], base)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -146,12 +146,12 @@ func TestTimelineMaintainerDifferential(t *testing.T) {
 					t.Fatalf("seed %d: extend to %s: %v", seed, ids[k-1], err)
 				}
 			}
-			want, err := SummarizeAll(mats[:k], base)
+			want, err := walkAll(mats[:k], base)
 			if err != nil {
 				t.Fatalf("seed %d: rebuild at %d: %v", seed, k, err)
 			}
 			if got := m.Timeline(); !equalTimelines(got, want) {
-				t.Fatalf("seed %d: maintained timeline at %d versions differs from SummarizeAll rebuild", seed, k)
+				t.Fatalf("seed %d: maintained timeline at %d versions differs from the Walk rebuild", seed, k)
 			}
 			if m.Head() != ids[k-1] || m.Steps() != k-1 {
 				t.Fatalf("seed %d: head=%s steps=%d, want %s/%d", seed, m.Head(), m.Steps(), ids[k-1], k-1)
@@ -166,7 +166,7 @@ func TestTimelineMaintainerDifferential(t *testing.T) {
 func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
 	base := maintainBase()
 	_, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 7})
-	m, err := NewTimelineMaintainer(mats, ids, base)
+	m, err := NewTimelineMaintainerContext(context.Background(), mats, ids, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
 		if !reflect.DeepEqual(gotIDs, ids[:k]) {
 			t.Fatalf("TimelineAt(%s) ids = %v, want %v", ids[k-1], gotIDs, ids[:k])
 		}
-		want, err := SummarizeAll(mats[:k], base)
+		want, err := walkAll(mats[:k], base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
 func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 	base := maintainBase()
 	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 3, Seed: 9})
-	m, err := NewTimelineMaintainer(mats, ids, base)
+	m, err := NewTimelineMaintainerContext(context.Background(), mats, ids, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,20 +233,20 @@ func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	sufIDs := []string{v1.ID, v2.ID}
-	suf, err := MaterializeChain(st, sufIDs)
+	suf, err := MaterializeChainContext(context.Background(), st, sufIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := NewTimelineMaintainer(suf, sufIDs, base)
+	rebuilt, err := NewTimelineMaintainerContext(context.Background(), suf, sufIDs, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SummarizeAll(suf, base)
+	want, err := walkAll(suf, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalTimelines(rebuilt.Timeline(), want) {
-		t.Fatal("rebuilt maintainer differs from SummarizeAll over the new-schema suffix")
+		t.Fatal("rebuilt maintainer differs from the Walk over the new-schema suffix")
 	}
 	if rebuilt.Head() != v2.ID {
 		t.Fatalf("rebuilt head = %s, want %s", rebuilt.Head(), v2.ID)
@@ -258,7 +258,7 @@ func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 func TestTimelineMaintainerForkIsolation(t *testing.T) {
 	base := maintainBase()
 	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 11})
-	m, err := NewTimelineMaintainer(mats[:len(mats)-1], ids[:len(ids)-1], base)
+	m, err := NewTimelineMaintainerContext(context.Background(), mats[:len(mats)-1], ids[:len(ids)-1], base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +279,115 @@ func TestTimelineMaintainerForkIsolation(t *testing.T) {
 func TestTimelineMaintainerValidation(t *testing.T) {
 	base := maintainBase()
 	d1, d2 := gen.Toy()
-	if _, err := NewTimelineMaintainer([]*table.Table{d1, d2}, []string{"only-one"}, base); err == nil {
+	if _, err := NewTimelineMaintainerContext(context.Background(), []*table.Table{d1, d2}, []string{"only-one"}, base); err == nil {
 		t.Error("mismatched snapshots/ids accepted")
 	}
-	if _, err := NewTimelineMaintainer([]*table.Table{d1}, []string{"a"}, base); err == nil {
+	if _, err := NewTimelineMaintainerContext(context.Background(), []*table.Table{d1}, []string{"a"}, base); err == nil {
 		t.Error("single-snapshot seed accepted")
+	}
+}
+
+// TestAdvance pins the one rule that moves a maintainer to a new head: a
+// maintainer whose head is on the lineage is extended on a fork (the input
+// is untouched, the memo unused), any other is rebuilt with its engine runs
+// through the memo, and a step that will not extend never leaves a
+// half-extended maintainer behind.
+func TestAdvance(t *testing.T) {
+	ctx := context.Background()
+	base := maintainBase()
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(tb *table.Table, parent string) string {
+		t.Helper()
+		v, err := st.Commit(tb, parent, "step")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.ID
+	}
+	var ids []string
+	parent := ""
+	for _, snap := range snaps {
+		parent = commit(snap, parent)
+		ids = append(ids, parent)
+	}
+	// matches requires m's timeline to equal a from-scratch walk of ids.
+	matches := func(m *TimelineMaintainer, ids []string) {
+		t.Helper()
+		mats, err := MaterializeChainContext(ctx, st, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := walkAll(mats, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Head() != ids[len(ids)-1] || !equalTimelines(m.Timeline(), want) {
+			t.Fatalf("advanced to %s: timeline differs from a walk of %v", m.Head(), ids)
+		}
+	}
+	memoRuns := 0
+	memo := func(i int, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
+		memoRuns++
+		return run()
+	}
+
+	m, extended, err := Advance(ctx, nil, st, ids[:3], base, memo)
+	if err != nil || extended {
+		t.Fatalf("seed from nil: extended=%v err=%v, want a rebuild", extended, err)
+	}
+	if memoRuns == 0 {
+		t.Error("the seed walk bypassed the memo")
+	}
+	matches(m, ids[:3])
+
+	runs := memoRuns
+	next, extended, err := Advance(ctx, m, st, ids, base, memo)
+	if err != nil || !extended {
+		t.Fatalf("head on the lineage: extended=%v err=%v, want an extension", extended, err)
+	}
+	if memoRuns != runs {
+		t.Errorf("extension ran %d engine steps through the memo, want 0", memoRuns-runs)
+	}
+	if m.Head() != ids[2] || m.Steps() != 2 {
+		t.Fatalf("Advance modified its input: head=%s steps=%d", m.Head(), m.Steps())
+	}
+	matches(next, ids)
+
+	// A branch off ids[1]: the maintainer's head is not on its lineage.
+	br := snaps[2].Clone()
+	salary := br.MustColumn("salary")
+	if err := salary.Set(0, table.F(salary.Float(0)+1)); err != nil {
+		t.Fatal(err)
+	}
+	brIDs := []string{ids[0], ids[1], commit(br, ids[1])}
+	rebuilt, extended, err := Advance(ctx, next, st, brIDs, base, nil)
+	if err != nil || extended {
+		t.Fatalf("branch switch: extended=%v err=%v, want a rebuild", extended, err)
+	}
+	matches(rebuilt, brIDs)
+
+	// Two versions on top of m's head, the second in another schema: the
+	// first extends, the second will not, and the rebuild cannot align it
+	// either — an error, with m still where it was.
+	toy, _ := gen.Toy()
+	bad := append(append([]string(nil), ids...), commit(toy, ids[len(ids)-1]))
+	if _, _, err := Advance(ctx, m, st, bad, base, nil); err == nil {
+		t.Fatal("advance across a schema change succeeded, want error")
+	}
+	if m.Head() != ids[2] || m.Steps() != 2 {
+		t.Fatalf("failed advance left m half-extended: head=%s steps=%d", m.Head(), m.Steps())
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := Advance(cancelled, m, st, ids, base, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled advance err = %v, want context.Canceled", err)
 	}
 }

@@ -1,14 +1,14 @@
 // Live timelines: the serve-side consumer of the store's commit
 // notifications. A liveRegistry keeps one liveShard per dataset; each shard
-// owns an incrementally maintained history.TimelineMaintainer (extended by
-// exactly one engine step per commit, rebuilt from the chain when the
-// incremental step cannot apply — schema change, missed notes, branch
-// switch) plus a bounded ring of watch events fanned out to /timeline/watch
-// subscribers. Head-relative POST /timeline answers are assembled from the
-// maintainer and memoized whole-response keyed by the head version id (see
-// handleTimeline), so a warm answer costs one cache lookup regardless of
-// chain length — the "query answering under updates" discipline applied end
-// to end.
+// owns an incrementally maintained history.TimelineMaintainer (moved to each
+// new head by history.Advance: extended by one engine step per commit,
+// rebuilt from the chain when the incremental step cannot apply — schema
+// change, branch switch) plus a bounded ring of watch events fanned out to
+// /timeline/watch subscribers. Head-relative POST /timeline answers are
+// assembled from the maintainer and memoized whole-response keyed by the
+// head version id (see handleTimeline), so a warm answer costs one cache
+// lookup regardless of chain length — the "query answering under updates"
+// discipline applied end to end.
 
 package serve
 
@@ -148,10 +148,8 @@ func (s *Server) pumpHub(sub *store.HubSubscription) {
 
 // onCommit applies one commit notification: always counted, and — when the
 // dataset has a live shard (someone watched or asked for a live timeline) —
-// the maintainer advances by exactly one engine step (mode "extend"),
-// rebuilds from the chain when the step cannot apply (mode "rebuild"), or
-// records the head move without a timeline (mode "skip": root commits,
-// unmaterializable chains). The resulting event fans out to watchers.
+// applied to the shard's maintained timeline (see applyCommit), whose
+// resulting event fans out to watchers.
 func (s *Server) onCommit(tenant, dataset string, v *store.Version) {
 	key := tenant + "/" + dataset
 	s.metrics.notifications.With(key).Inc()
@@ -164,39 +162,32 @@ func (s *Server) onCommit(tenant, dataset string, v *store.Version) {
 		return // evicted or closing; the next reader reseeds
 	}
 	defer release()
-	mode := ls.applyCommit(st, v)
+	mode := s.applyCommit(&shardRef{tenant: tenant, dataset: dataset, st: st}, ls, v)
 	s.metrics.maintenance.With(key, mode).Inc()
 }
 
-// applyCommit advances the shard's maintained timeline for one commit and
-// publishes the resulting watch event. Returns the maintenance mode.
-func (ls *liveShard) applyCommit(st *store.Store, v *store.Version) string {
+// applyCommit advances the shard's maintained timeline to v under the
+// server-lifetime context and publishes the resulting watch event. The
+// returned maintenance mode is "extend" when the maintainer's head was on
+// v's lineage, "rebuild" when it was nil, on another branch, or a step
+// would not extend, and "skip" for root commits, heads a request already
+// absorbed, and advances that failed or were cancelled by BeginDrain.
+func (s *Server) applyCommit(sh *shardRef, ls *liveShard, v *store.Version) string {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.head == v.ID {
 		return "skip" // already observed (seeded from the head after this commit)
 	}
-	mode := ""
-	if ls.maint != nil && ls.maint.Head() == v.ID {
-		// A request-path build already absorbed this commit (the reader
-		// raced the pump); just record the head move.
-		mode = "skip"
-		ls.head = v.ID
-		ls.publishLocked(v, mode)
-		return mode
-	}
-	if ls.maint != nil && ls.maint.Head() == v.Parent {
-		if err := ls.maint.ExtendFromSource(st, v.ID); err == nil {
+	mode := "skip" // kept when a request already absorbed v, or the advance fails
+	if ls.maint == nil || ls.maint.Head() != v.ID {
+		extended, err := s.advanceLocked(s.life, sh, ls, v.ID)
+		switch {
+		case err != nil:
+			ls.maint = nil
+		case extended:
 			mode = "extend"
-		}
-		// A failed extend (schema change) leaves the maintainer unchanged;
-		// fall through to the rebuild.
-	}
-	if mode == "" {
-		if m, err := rebuildMaintainer(st, v.ID); err == nil {
-			ls.maint, mode = m, "rebuild"
-		} else {
-			ls.maint, mode = nil, "skip"
+		default:
+			mode = "rebuild"
 		}
 	}
 	ls.head = v.ID
@@ -204,18 +195,21 @@ func (ls *liveShard) applyCommit(st *store.Store, v *store.Version) string {
 	return mode
 }
 
-// rebuildMaintainer builds a maintainer from scratch over v's full chain —
-// the fallback when the one-step extension cannot apply.
-func rebuildMaintainer(st *store.Store, head string) (*history.TimelineMaintainer, error) {
-	ids, err := lineageIDs(st, head)
+// advanceLocked (caller holds ls.mu) moves the shard's maintainer to head
+// with history.Advance, a rebuild's engine runs memoized like any walk's
+// (see stepMemo), and reports whether it got there by extension. On error
+// the maintainer is left as it was.
+func (s *Server) advanceLocked(ctx context.Context, sh *shardRef, ls *liveShard, head string) (bool, error) {
+	ids, err := lineageIDs(sh.st, head)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	mats, err := history.MaterializeChain(st, ids)
+	m, extended, err := history.Advance(ctx, ls.maint, sh.st, ids, core.DefaultOptions(""), s.stepMemo(ctx, sh, ids))
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return history.NewTimelineMaintainer(mats, ids, core.DefaultOptions(""))
+	ls.maint = m
+	return extended, nil
 }
 
 // publishLocked (caller holds ls.mu) appends one event to the ring and fans
@@ -373,7 +367,7 @@ func (s *Server) watchPoll(ls *liveShard, w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusOK, watchPollResponse{
 			Head: ev.Head, Seq: ev.Seq, Resync: ev.Resync, Events: []watchEvent{ev},
 		})
-	case <-s.drain:
+	case <-s.life.Done():
 		resp.Draining = true
 		writeJSON(w, http.StatusOK, resp)
 	case <-timer.C:
@@ -406,7 +400,7 @@ func (s *Server) watchSSE(ls *liveShard, w http.ResponseWriter, r *http.Request)
 				return
 			}
 			_ = rc.Flush()
-		case <-s.drain:
+		case <-s.life.Done():
 			_ = writeSSE(w, "drain", map[string]string{"reason": "server draining"})
 			_ = rc.Flush()
 			return
@@ -426,11 +420,12 @@ func writeSSE(w io.Writer, event string, v any) error {
 	return err
 }
 
-// liveTimelineAt returns the maintained MultiTimeline for head, building or
-// rebuilding the shard's maintainer when needed — its seed walk memoized
-// like any request-time walk (see stepMemo). A maintainer that has already
-// advanced past head (a commit raced the request) answers from its prefix,
-// so the reader still gets a consistent timeline for the head it resolved.
+// liveTimelineAt returns the maintained MultiTimeline for head, advancing
+// the shard's maintainer there when needed (see advanceLocked): a
+// maintainer a few commits behind on head's lineage is extended, any other
+// is rebuilt. A maintainer that has already advanced past head (a commit
+// raced the request) answers from its prefix, so the reader still gets a
+// consistent timeline for the head it resolved.
 func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -439,17 +434,11 @@ func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard
 			return mt, ids, nil
 		}
 	}
-	ids, mats, err := materializeLineage(ctx, sh.st, head)
-	if err != nil {
+	if _, err := s.advanceLocked(ctx, sh, ls, head); err != nil {
 		return nil, nil, err
 	}
-	m, err := history.NewTimelineMaintainerMemo(ctx, mats, ids, core.DefaultOptions(""), s.stepMemo(ctx, sh, ids))
-	if err != nil {
-		return nil, nil, err
-	}
-	ls.maint = m
 	if ls.head == "" {
 		ls.head = head
 	}
-	return m.Timeline(), m.Versions(), nil
+	return ls.maint.Timeline(), ls.maint.Versions(), nil
 }

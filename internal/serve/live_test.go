@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"charles/internal/core"
 	"charles/internal/csvio"
 	"charles/internal/gen"
 	"charles/internal/metrics"
@@ -491,5 +494,141 @@ func TestWatchHammerExactCounters(t *testing.T) {
 	if v, ok := metrics.Value(body, "charles_timeline_maintenance_total",
 		map[string]string{"shard": shard["shard"], "mode": "skip"}); ok && v != 0 {
 		t.Errorf("skips = %v, want none", v)
+	}
+}
+
+// commitSnaps commits snaps as one lineage straight into st and returns
+// their version ids, root → head.
+func commitSnaps(t *testing.T, st *store.Store, snaps []*table.Table) []string {
+	t.Helper()
+	var ids []string
+	parent := ""
+	for _, snap := range snaps {
+		v, err := st.Commit(snap, parent, "live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+		parent = v.ID
+	}
+	return ids
+}
+
+// TestLivePumpRebuildReadsStepMemo: the commit pump's rebuild walks through
+// the step memo, so a commit on a branch off an older version — whose
+// shared steps a live answer already put in the result cache — builds only
+// the one new pair.
+func TestLivePumpRebuildReadsStepMemo(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(st, 0))
+	t.Cleanup(ts.Close)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps)
+	waitMetric(t, ts.URL, "charles_commit_notifications_total", defShard, float64(len(ids)))
+	if resp, body := postJSON(t, ts.URL+"/timeline", timelineRequest{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live timeline status %d: %s", resp.StatusCode, body)
+	}
+
+	branch := snaps[2].Clone()
+	salary := branch.MustColumn("salary")
+	if err := salary.Set(0, table.F(salary.Float(0)+1)); err != nil {
+		t.Fatal(err)
+	}
+	caches, indexes := core.AccelBuilds()
+	if _, err := st.Commit(branch, ids[1], "branch"); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, ts.URL, "charles_timeline_maintenance_total",
+		map[string]string{"shard": defShard["shard"], "mode": "rebuild"}, 1)
+	c, i := core.AccelBuilds()
+	if c-caches != 1 || i-indexes != 1 {
+		t.Errorf("branch rebuild built %d atom caches and %d split indexes, want 1 and 1 (the new pair only)", c-caches, i-indexes)
+	}
+}
+
+// TestLivePumpRebuildStopsAtDrain: the commit pump's rebuild runs under the
+// server-lifetime context, so BeginDrain stops it at its next engine step
+// and the commit is counted as a skip.
+func TestLivePumpRebuildStopsAtDrain(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, 0)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps[:4])
+	waitMetric(t, ts.URL, "charles_commit_notifications_total", defShard, 4)
+	pollWatch(t, ts.URL+"/timeline/watch?since=") // make the shard live, no maintainer yet
+
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv.stepHook = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	caches, _ := core.AccelBuilds()
+	if _, err := st.Commit(snaps[4], ids[3], "live"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pump's rebuild never reached an engine step")
+	}
+	srv.BeginDrain()
+	close(release)
+	waitMetric(t, ts.URL, "charles_timeline_maintenance_total",
+		map[string]string{"shard": defShard["shard"], "mode": "skip"}, 1)
+	if c, _ := core.AccelBuilds(); c != caches {
+		t.Errorf("the drained rebuild still ran %d engine steps", c-caches)
+	}
+}
+
+// TestLiveRequestOneCommitBehindExtends: a live answer whose maintainer is
+// one commit behind the requested head (a shard the pump does not maintain)
+// extends it by the one new pair instead of re-walking the lineage — even
+// when the result cache is too small to remember the lineage's steps.
+func TestLiveRequestOneCommitBehindExtends(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(st, Config{CacheSize: 2})
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps)
+	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
+	ls := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
+	ctx := context.Background()
+	k := len(ids) - 2
+	if _, _, err := srv.liveTimelineAt(ctx, sh, ls, ids[k]); err != nil {
+		t.Fatal(err)
+	}
+	caches, indexes := core.AccelBuilds()
+	mt, got, err := srv.liveTimelineAt(ctx, sh, ls, ids[k+1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, i := core.AccelBuilds()
+	if c-caches != 1 || i-indexes != 1 {
+		t.Errorf("head k → k+1 built %d atom caches and %d split indexes, want 1 and 1", c-caches, i-indexes)
+	}
+	if mt.Steps != k+1 || !slices.Equal(got, ids) {
+		t.Errorf("answer steps %d versions %v, want %d over %v", mt.Steps, got, k+1, ids)
 	}
 }

@@ -60,7 +60,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -126,12 +125,13 @@ type Server struct {
 	// live is the commit-driven timeline registry (see live.go); the pump
 	// goroutine feeds it from the hub's commit subscription. watchSubs
 	// counts active /timeline/watch subscribers (SSE + blocked long-polls).
-	// drain is closed by BeginDrain so watch handlers end promptly inside
-	// the graceful-drain window.
+	// life is the server-lifetime context the pump's rebuilds run under;
+	// BeginDrain cancels it (drain) so those rebuilds and the watch handlers
+	// end promptly inside the graceful-drain window.
 	live      *liveRegistry
 	watchSubs atomic.Int64
-	drain     chan struct{}
-	drainOnce sync.Once
+	life      context.Context
+	drain     context.CancelFunc
 
 	// Test seams (set only from package tests): testDelay runs after a
 	// limiter slot is held, stepHook before each timeline engine run that
@@ -204,8 +204,8 @@ func NewHubServer(h *store.Hub, cfg Config) *Server {
 		cfg:    cfg,
 		reqLog: newRequestLogger(cfg.RequestLog),
 		live:   newLiveRegistry(),
-		drain:  make(chan struct{}),
 	}
+	s.life, s.drain = context.WithCancel(context.Background()) //lint:allow ctxflow the commit pump outlives every request; BeginDrain cancels it
 	s.metrics = newServerMetrics(s)
 	if cfg.MaxInFlight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInFlight)
@@ -374,11 +374,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // BeginDrain tells long-lived handlers (SSE streams, blocked long-polls on
 // /timeline/watch) that shutdown has begun: they finish their current write
 // and return, releasing their limiter slots inside the graceful-drain
-// window instead of holding connections open until the force-close.
+// window instead of holding connections open until the force-close. A
+// commit-pump rebuild in progress stops at its next engine step.
 // Idempotent; called by the lifecycle (see Serve) at SIGTERM.
-func (s *Server) BeginDrain() {
-	s.drainOnce.Do(func() { close(s.drain) })
-}
+func (s *Server) BeginDrain() { s.drain() }
 
 // Stats snapshots the summarize cache counters.
 func (s *Server) Stats() Stats { return s.cache.Stats() }

@@ -129,8 +129,8 @@ func (s *Store) Changes(id string) (*ChangeSet, error) {
 }
 
 // DeltaOps is the lightweight form of Changes the history layer's chain
-// materializer consumes (history.DeltaSource): the cached op set with no
-// column-name resolution. Callers must not mutate the result.
+// materializer consumes (history.MaterializeChainContext): the cached op
+// set with no column-name resolution. Callers must not mutate the result.
 func (s *Store) DeltaOps(id string) (*ChangeSet, error) {
 	return s.changeSetFor(id)
 }

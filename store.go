@@ -1,6 +1,8 @@
 package charles
 
 import (
+	"context"
+
 	"charles/internal/diff"
 	"charles/internal/history"
 	"charles/internal/predicate"
@@ -75,34 +77,29 @@ func DiffSnapshots(src, tgt *Table, tol float64) (*DiffResult, error) {
 	return diff.ResultFromPair(src, tgt, tol)
 }
 
-// SummarizeTimelineChain walks the stored version ids in order and
-// summarizes every changed numeric attribute of every consecutive pair.
-// Cold walks are delta-native — one checkout at the chain root, then
-// step-by-step application of each version's ChangeSet — and warm walks are
-// served from the store's table cache without parsing.
-func SummarizeTimelineChain(src *VersionStore, ids []string, base Options) (*MultiTimeline, error) {
-	return history.SummarizeChain(src, ids, base)
-}
-
 // MaterializeVersions materializes the given version ids in order,
-// delta-natively where possible (see SummarizeTimelineChain); the returned
-// tables are identical to per-id checkouts.
-func MaterializeVersions(src *VersionStore, ids []string) ([]*Table, error) {
-	return history.MaterializeChain(src, ids)
+// delta-natively: a cold walk checks out the chain root and derives each
+// later version by applying its ChangeSet, and warm versions are served from
+// the store's table cache without parsing. The returned tables are identical
+// to per-id checkouts.
+func MaterializeVersions(ctx context.Context, st *VersionStore, ids []string) ([]*Table, error) {
+	return history.MaterializeChainContext(ctx, st, ids)
 }
 
 // TimelineMaintainer incrementally maintains a MultiTimeline over a growing
-// version chain: seed it once over the chain so far, then advance it by
-// exactly one engine step per new commit (ExtendFromSource) instead of
-// re-walking the whole lineage — the "query answering under updates"
-// discipline. Its timeline is bit-identical to SummarizeTimelineChain over
-// the same ids.
+// version chain: it advances by exactly one engine step per new commit
+// instead of re-walking the whole lineage — the "query answering under
+// updates" discipline. Its timeline is bit-identical to SummarizeTimeline
+// over the same versions.
 type TimelineMaintainer = history.TimelineMaintainer
 
-// NewTimelineMaintainer seeds a maintainer over a materialized chain: the
-// snapshots and their version ids, root→head, at least 2 of each.
-func NewTimelineMaintainer(snaps []*Table, ids []string, base Options) (*TimelineMaintainer, error) {
-	return history.NewTimelineMaintainer(snaps, ids, base)
+// AdvanceTimeline brings m to the head of the lineage ids (version ids root
+// → head, at least 2) and reports whether it got there by extension: when
+// m's head is on ids it is extended one engine step per later version;
+// otherwise (m is nil, on another branch, or a step will not extend) a new
+// maintainer is seeded over ids under base. m itself is never modified.
+func AdvanceTimeline(ctx context.Context, m *TimelineMaintainer, st *VersionStore, ids []string, base Options) (*TimelineMaintainer, bool, error) {
+	return history.Advance(ctx, m, st, ids, base, nil)
 }
 
 // CommitNote is one commit notification delivered on a VersionStore
