@@ -77,7 +77,8 @@ func BenchmarkE13Nonlinear(b *testing.B) { benchExperiment(b, "E13", true) }
 //
 // Each is defined once, in internal/microbench, and measured under the
 // same name by charles-bench -baseline. In CI, Timeline, StoreChain50,
-// DiffChain50*, LiveExtend* and HubCommit16 run one iteration under -race.
+// MaterializeChain50, DiffChain50*, LiveExtend* and HubCommit16 run one
+// iteration under -race.
 
 // micro runs the named micro-benchmark.
 func micro(b *testing.B, name string) {
@@ -90,14 +91,15 @@ func micro(b *testing.B, name string) {
 	b.Fatalf("no micro-benchmark %q", name)
 }
 
-func BenchmarkSummarizeToy(b *testing.B)      { micro(b, "SummarizeToy") }
-func BenchmarkSummarize2k(b *testing.B)       { micro(b, "Summarize2k") }
-func BenchmarkAlign(b *testing.B)             { micro(b, "Align5k") }
-func BenchmarkSuggestAttributes(b *testing.B) { micro(b, "SuggestAttributes") }
-func BenchmarkTimeline(b *testing.B)          { micro(b, "Timeline8x4") }
-func BenchmarkLiveExtend10(b *testing.B)      { micro(b, "LiveExtend10") }
-func BenchmarkLiveExtend50(b *testing.B)      { micro(b, "LiveExtend50") }
-func BenchmarkDiffChain50(b *testing.B)       { micro(b, "DiffChain50") }
-func BenchmarkDiffChain50Align(b *testing.B)  { micro(b, "DiffChain50Align") }
-func BenchmarkStoreChain50(b *testing.B)      { micro(b, "StoreChain50") }
-func BenchmarkHubCommit16(b *testing.B)       { micro(b, "HubCommit16") }
+func BenchmarkSummarizeToy(b *testing.B)       { micro(b, "SummarizeToy") }
+func BenchmarkSummarize2k(b *testing.B)        { micro(b, "Summarize2k") }
+func BenchmarkAlign(b *testing.B)              { micro(b, "Align5k") }
+func BenchmarkSuggestAttributes(b *testing.B)  { micro(b, "SuggestAttributes") }
+func BenchmarkTimeline(b *testing.B)           { micro(b, "Timeline8x4") }
+func BenchmarkLiveExtend10(b *testing.B)       { micro(b, "LiveExtend10") }
+func BenchmarkLiveExtend50(b *testing.B)       { micro(b, "LiveExtend50") }
+func BenchmarkDiffChain50(b *testing.B)        { micro(b, "DiffChain50") }
+func BenchmarkDiffChain50Align(b *testing.B)   { micro(b, "DiffChain50Align") }
+func BenchmarkStoreChain50(b *testing.B)       { micro(b, "StoreChain50") }
+func BenchmarkMaterializeChain50(b *testing.B) { micro(b, "MaterializeChain50") }
+func BenchmarkHubCommit16(b *testing.B)        { micro(b, "HubCommit16") }

@@ -397,11 +397,11 @@ func cmdSummarize(st *charles.VersionStore, args []string) {
 	}
 }
 
-// cmdTimeline materializes the lineage root→head delta-natively and renders
-// each changed numeric attribute's timeline (only -target's, when given).
-// With -follow it then keeps watching: the store is re-opened every
-// -interval, and each new commit extends an incrementally maintained
-// timeline by one engine step, printing just that step.
+// cmdTimeline checks the lineage out root→head and renders each changed
+// numeric attribute's timeline (only -target's, when given). With -follow
+// it then keeps watching: the store is re-opened every -interval, and each
+// new commit extends an incrementally maintained timeline by one engine
+// step, printing just that step.
 func cmdTimeline(w io.Writer, st *charles.VersionStore, reopen reopenFunc, args []string) {
 	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
 	head := fs.String("head", "", "head version id (default: latest commit)")

@@ -144,89 +144,51 @@ func WriteFile(path string, t *table.Table) error {
 	return f.Close()
 }
 
-// typeGuess accumulates per-cell evidence for type inference. The zero value
-// starts with every candidate type still possible.
-type typeGuess struct {
-	isInt, isFloat, isBool bool
-	seen                   bool
-	settled                bool // String decided; further cells are irrelevant
-}
-
-func newTypeGuess() typeGuess { return typeGuess{isInt: true, isFloat: true, isBool: true} }
-
-// observe folds one raw cell into the guess. Empty (null) cells carry no
-// evidence.
-func (g *typeGuess) observe(cell string) {
-	cell = strings.TrimSpace(cell)
-	if cell == "" || g.settled {
-		return
-	}
-	g.seen = true
-	low := strings.ToLower(cell)
-	if low != "true" && low != "false" {
-		g.isBool = false
-	}
-	num, ok := normalizeNumber(cell)
-	if !ok {
-		g.isInt, g.isFloat = false, false
-	} else {
-		if _, err := strconv.ParseInt(num, 10, 64); err != nil {
-			g.isInt = false
-		}
-		if _, err := strconv.ParseFloat(num, 64); err != nil {
-			g.isFloat = false
-		}
-	}
-	if !g.isBool && !g.isFloat {
-		g.settled = true
-	}
-}
-
-// result picks the narrowest surviving type: Bool ⊂ Int ⊂ Float ⊂ String.
-func (g *typeGuess) result() table.Type {
-	switch {
-	case g.settled, !g.seen:
-		return table.String
-	case g.isBool:
-		return table.Bool
-	case g.isInt:
-		return table.Int
-	case g.isFloat:
-		return table.Float
-	default:
-		return table.String
-	}
-}
-
 // inferType chooses the narrowest type that parses every non-empty cell of
 // column ci: Bool ⊂ Int ⊂ Float ⊂ String.
 func inferType(rows [][]string, ci int) table.Type {
-	g := newTypeGuess()
+	isInt, isFloat, isBool := true, true, true
+	seen := false
 	for _, rec := range rows {
 		if ci >= len(rec) {
 			continue
 		}
-		g.observe(rec[ci])
-		if g.settled {
-			break
+		cell := strings.TrimSpace(rec[ci])
+		if cell == "" {
+			continue
+		}
+		seen = true
+		low := strings.ToLower(cell)
+		if low != "true" && low != "false" {
+			isBool = false
+		}
+		num, ok := normalizeNumber(cell)
+		if !ok {
+			isInt, isFloat = false, false
+		} else {
+			if _, err := strconv.ParseInt(num, 10, 64); err != nil {
+				isInt = false
+			}
+			if _, err := strconv.ParseFloat(num, 64); err != nil {
+				isFloat = false
+			}
+		}
+		if !isBool && !isFloat {
+			return table.String
 		}
 	}
-	return g.result()
-}
-
-// InferCells runs Read's column type inference over a bare cell slice — the
-// same Bool ⊂ Int ⊂ Float ⊂ String lattice, empty cells skipped. Exported so
-// delta-native snapshot materialization (diff.ApplyChangeSet) can reproduce
-// exactly the type a checkout of the equivalent CSV would infer.
-func InferCells(cells []string) table.Type {
-	g := newTypeGuess()
-	for _, cell := range cells {
-		g.observe(cell)
-		if g.settled {
-			break
-		}
+	switch {
+	case !seen:
+		return table.String
+	case isBool:
+		return table.Bool
+	case isInt:
+		return table.Int
+	case isFloat:
+		return table.Float
+	default:
+		return table.String
 	}
-	return g.result()
 }
 
 // normalizeNumber strips currency symbols, thousands separators, percent

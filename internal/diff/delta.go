@@ -20,12 +20,12 @@ import (
 	"charles/internal/table"
 )
 
-// ErrNotDeltaNative reports that a change query or snapshot materialization
-// could not be served from delta ops alone — a cell text that does not parse
-// under the base schema, keys whose encoding is not canonical, ops that
-// contradict the base row set, or a materialized (anchor) version in the
-// chain. Callers fall back to the checkout+align path, which answers every
-// query the delta path answers (and more), just slower.
+// ErrNotDeltaNative reports that a change query could not be served from
+// delta ops alone — a cell text that does not parse under the base schema,
+// keys whose encoding is not canonical, ops that contradict the base row
+// set, or a materialized (anchor) version in the chain. Callers fall back to
+// the checkout+align path, which answers every query the delta path answers
+// (and more), just slower.
 var ErrNotDeltaNative = errors.New("diff: change query not answerable from deltas")
 
 // ChangeSet is the decoded row-level delta of one version against its base:
@@ -673,21 +673,6 @@ func (kn *keyNormalizer) normalize(raw string) (string, error) {
 		parts[i] = v.Str()
 	}
 	return table.EncodeKey(parts), nil
-}
-
-// normalizeStable is normalize plus the requirement that the raw encoding
-// already was canonical (raw == normalized). Snapshot materialization needs
-// it: a key whose raw text sorts differently from its parsed text would make
-// the applied row order diverge from the canonical checkout order.
-func (kn *keyNormalizer) normalizeStable(raw string) (string, error) {
-	k, err := kn.normalize(raw)
-	if err != nil {
-		return "", err
-	}
-	if k != raw {
-		return "", fmt.Errorf("%w: key text %q is not canonical (parses to %q)", ErrNotDeltaNative, raw, k)
-	}
-	return k, nil
 }
 
 // rowFinder resolves encoded keys to row indices of one table. It encodes

@@ -3,8 +3,10 @@ package diff
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"charles/internal/csvio"
 	"charles/internal/table"
 )
 
@@ -28,6 +30,17 @@ func deltaBase(t *testing.T) *table.Table {
 	return b
 }
 
+// readChild parses the expected child snapshot of a change set from CSV,
+// keyed like deltaBase: the table a checkout of that version yields.
+func readChild(t *testing.T, doc string) *table.Table {
+	t.Helper()
+	child, err := csvio.Read(strings.NewReader(doc), csvio.Options{Key: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return child
+}
+
 func TestResultFromChangeSetMatchesPair(t *testing.T) {
 	base := deltaBase(t)
 	cs := &ChangeSet{
@@ -43,10 +56,7 @@ func TestResultFromChangeSetMatchesPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, err := ApplyChangeSet(base, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := readChild(t, "id,grade,pay,dept\na,1,150.5,eng\nc,30,300.5,eng\nd,4,400.5,eng\ne,5,500.5,fin\n")
 	want, err := ResultFromPair(base, child, 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -91,14 +101,7 @@ func TestChangeSetComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := ApplyChangeSet(base, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := ApplyChangeSet(mid, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := readChild(t, "id,grade,pay,dept\na,1,122.5,eng\nb,2,250.5,fin\nc,3,300.5,pol\nd,4,400.5,eng\n")
 	want, err := ResultFromPair(base, child, 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +149,7 @@ func TestResultFromChangeSetNullTransitions(t *testing.T) {
 	if res.UpdateDistance != 1 || !res.Changes[0].New.IsNull() {
 		t.Fatalf("null transition not reported: %+v", res.Changes)
 	}
-	child, err := ApplyChangeSet(base, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := readChild(t, "id,grade,pay,dept\na,1,,eng\nb,2,200.5,fin\nc,3,300.5,pol\nd,4,400.5,eng\n")
 	want, err := ResultFromPair(base, child, 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -171,113 +171,15 @@ func TestResultFromChangeSetRejects(t *testing.T) {
 		"patch missing key":   {Patched: []RowPatch{{Key: "nope", Cols: []int{2}, Vals: []string{"1.5"}}}},
 		"insert existing key": {Inserted: []InsertedRow{{Key: "a", Cells: []string{"a", "1", "1.5", "x"}}}},
 		"short insert":        {Inserted: []InsertedRow{{Key: "z", Cells: []string{"z", "1"}}}},
+		// Cells that do not parse under the base schema: the answer would
+		// need the child's wider column types.
+		"unparsable cell":   {Patched: []RowPatch{{Key: "a", Cols: []int{1}, Vals: []string{"not-an-int"}}}},
+		"unparsable insert": {Inserted: []InsertedRow{{Key: "z", Cells: []string{"z", "x", "1.5", "q"}}}},
 	}
 	for name, cs := range cases {
 		if _, err := ResultFromChangeSets(base, []*ChangeSet{cs}, 1e-9); !errors.Is(err, ErrNotDeltaNative) {
 			t.Errorf("%s: err = %v, want ErrNotDeltaNative", name, err)
 		}
-		if _, err := ApplyChangeSet(base, cs); !errors.Is(err, ErrNotDeltaNative) {
-			t.Errorf("%s: ApplyChangeSet err = %v, want ErrNotDeltaNative", name, err)
-		}
-	}
-
-	// Cells that do not parse under the base schema are a Result-only
-	// rejection (the answer would need the child's wider types): snapshot
-	// materialization handles them by re-inferring, exactly like a re-parse.
-	widening := map[string]*ChangeSet{
-		"unparsable cell":   {Patched: []RowPatch{{Key: "a", Cols: []int{1}, Vals: []string{"not-an-int"}}}},
-		"unparsable insert": {Inserted: []InsertedRow{{Key: "z", Cells: []string{"z", "x", "1.5", "q"}}}},
-	}
-	for name, cs := range widening {
-		if _, err := ResultFromChangeSets(base, []*ChangeSet{cs}, 1e-9); !errors.Is(err, ErrNotDeltaNative) {
-			t.Errorf("%s: err = %v, want ErrNotDeltaNative", name, err)
-		}
-		child, err := ApplyChangeSet(base, cs)
-		if err != nil {
-			t.Errorf("%s: ApplyChangeSet err = %v, want widened child", name, err)
-			continue
-		}
-		if typ := child.Schema()[1].Type; typ != table.String {
-			t.Errorf("%s: grade column type = %s, want string (widened like a re-parse)", name, typ)
-		}
-	}
-}
-
-// TestApplyChangeSetRetypesColumns pins the re-inference contract: applying
-// ops that change a column's cell multiset must land on exactly the type a
-// CSV re-parse of the child would infer.
-func TestApplyChangeSetRetypesColumns(t *testing.T) {
-	schema := table.Schema{
-		{Name: "id", Type: table.String},
-		{Name: "mixed", Type: table.String},
-	}
-	b := table.MustNew(schema)
-	b.MustAppendRow(table.S("a"), table.S("12"))
-	b.MustAppendRow(table.S("b"), table.S("oops"))
-	if err := b.SetKey("id"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Patching away the only non-numeric cell narrows the column to Int.
-	cs := &ChangeSet{Patched: []RowPatch{{Key: "b", Cols: []int{1}, Vals: []string{"7"}}}}
-	child, err := ApplyChangeSet(b, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ := child.Schema()[1].Type; typ != table.Int {
-		t.Errorf("patched-away offender: column type = %s, want int", typ)
-	}
-
-	// Removing the offending row narrows it too.
-	cs = &ChangeSet{Removed: []string{"b"}}
-	child, err = ApplyChangeSet(b, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ := child.Schema()[1].Type; typ != table.Int {
-		t.Errorf("removed offender: column type = %s, want int", typ)
-	}
-
-	// Inserting into an all-null String column pins its first real type.
-	allNull := table.MustNew(schema)
-	allNull.MustAppendRow(table.S("a"), table.Null(table.String))
-	if err := allNull.SetKey("id"); err != nil {
-		t.Fatal(err)
-	}
-	cs = &ChangeSet{Inserted: []InsertedRow{{Key: "b", Cells: []string{"b", "true"}}}}
-	child, err = ApplyChangeSet(allNull, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ := child.Schema()[1].Type; typ != table.Bool {
-		t.Errorf("insert into all-null column: type = %s, want bool", typ)
-	}
-}
-
-func TestApplyChangeSetRowOrder(t *testing.T) {
-	base := deltaBase(t)
-	cs := &ChangeSet{
-		Removed: []string{"a"},
-		Inserted: []InsertedRow{
-			{Key: "aa", Cells: []string{"aa", "7", "700.5", "fin"}},
-			{Key: "z", Cells: []string{"z", "8", "800.5", "pol"}},
-		},
-	}
-	child, err := ApplyChangeSet(base, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for r := 0; r < child.NumRows(); r++ {
-		k, err := child.KeyOf(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, k)
-	}
-	want := []string{"aa", "b", "c", "d", "z"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("applied row order = %v, want canonical %v", got, want)
 	}
 }
 
@@ -328,10 +230,7 @@ func TestDuplicatedPatchColumnLastWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, err := ApplyChangeSet(base, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := readChild(t, "id,grade,pay,dept\na,1,175.5,eng\nb,2,200.5,fin\nc,3,300.5,pol\nd,4,400.5,eng\n")
 	want, err := ResultFromPair(base, child, 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -362,19 +261,5 @@ func TestInsertKeyCellMismatchRejected(t *testing.T) {
 	cs := &ChangeSet{Inserted: []InsertedRow{{Key: "z", Cells: []string{"zz", "5", "5.5", "fin"}}}}
 	if _, err := ResultFromChangeSets(base, []*ChangeSet{cs}, 1e-9); !errors.Is(err, ErrNotDeltaNative) {
 		t.Errorf("ResultFromChangeSets err = %v, want ErrNotDeltaNative", err)
-	}
-	if _, err := ApplyChangeSet(base, cs); !errors.Is(err, ErrNotDeltaNative) {
-		t.Errorf("ApplyChangeSet err = %v, want ErrNotDeltaNative", err)
-	}
-}
-
-// TestApplyChangeSetExcessRemovalsRejected pins the corrupt-set guard: more
-// removed keys than the base has rows must error, not panic on a negative
-// slice capacity.
-func TestApplyChangeSetExcessRemovalsRejected(t *testing.T) {
-	base := deltaBase(t)
-	cs := &ChangeSet{Removed: []string{"a", "b", "c", "d", "e", "f"}}
-	if _, err := ApplyChangeSet(base, cs); !errors.Is(err, ErrNotDeltaNative) {
-		t.Fatalf("excess removals: err = %v, want ErrNotDeltaNative", err)
 	}
 }

@@ -136,58 +136,25 @@ func checkTarget(first *table.Table, target string) error {
 	return nil
 }
 
-// MaterializeChainContext materializes the version ids in order,
-// delta-natively where possible: the first id (and every id whose table is
-// already cached) is checked out, and each later id is derived by applying
-// its delta ops to the previous snapshot — so a cold walk of an n-version
-// chain does one CSV parse at the root instead of n. Anchors and versions
-// whose ops do not apply cleanly (diff.ApplyChangeSet's canonical-encoding
-// requirements) fall back to a regular checkout. The returned tables are
-// identical to per-id checkouts, row order included. The walk checks ctx
-// before each version, so a caller abandoning a long chain stops paying for
-// checkouts it will never read.
+// MaterializeChainContext checks the version ids out of st in order. The
+// store rebuilds each version from its nearest cached ancestor, so a cold
+// root → head walk applies one delta and parses once per version, and a
+// warm walk is served from the table cache without parsing. The walk checks
+// ctx before each version, so a caller abandoning a long chain stops paying
+// for checkouts it will never read.
 func MaterializeChainContext(ctx context.Context, st *store.Store, ids []string) ([]*table.Table, error) {
 	out := make([]*table.Table, len(ids))
-	var prevID string
-	var prev *table.Table
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t, err := materializeStep(st, prevID, prev, id)
+		t, err := st.Checkout(id)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("history: version %s: %w", id, err)
 		}
-		out[i], prevID, prev = t, id, t
+		out[i] = t
 	}
 	return out, nil
-}
-
-// materializeStep materializes one version delta-natively when possible:
-// the cached-table path first, then applying id's ChangeSet to prev (the
-// already materialized snapshot of prevID, id's parent; nil at a chain
-// root), then a plain checkout. An applied table carries the same
-// tamper-evidence as a checkout: the store verifies it against the content
-// id and admits it into its table cache, so a decodable-but-tampered delta
-// pack cannot slip wrong data into a timeline (a failed check falls through
-// to Checkout, which verifies the raw bytes itself) and the next walk takes
-// the warm clone path.
-func materializeStep(st *store.Store, prevID string, prev *table.Table, id string) (*table.Table, error) {
-	if t, ok := st.CheckoutCached(id); ok {
-		return t, nil
-	}
-	if prev != nil {
-		if cs, err := st.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
-			if t, err := diff.ApplyChangeSet(prev, cs); err == nil && st.AdmitSnapshot(id, t) == nil {
-				return t, nil
-			}
-		}
-	}
-	t, err := st.Checkout(id)
-	if err != nil {
-		return nil, fmt.Errorf("history: version %s: %w", id, err)
-	}
-	return t, nil
 }
 
 // forEachStep runs fn for every step index on a pool bounded by

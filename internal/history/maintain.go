@@ -124,14 +124,12 @@ func (m *TimelineMaintainer) Extend(id string, next *table.Table) error {
 	return nil
 }
 
-// ExtendFromSource is Extend with the new head materialized from st:
-// delta-natively against the maintainer's retained head snapshot, falling
-// back to a checkout. The maintainer must currently be positioned at the
-// new version's parent.
+// ExtendFromSource is Extend with the new head checked out of st. The
+// maintainer must currently be positioned at the new version's parent.
 func (m *TimelineMaintainer) ExtendFromSource(st *store.Store, id string) error {
-	next, err := materializeStep(st, m.Head(), m.last, id)
+	next, err := st.Checkout(id)
 	if err != nil {
-		return err
+		return fmt.Errorf("history: version %s: %w", id, err)
 	}
 	return m.Extend(id, next)
 }

@@ -37,6 +37,7 @@ func List(ctx context.Context) []Bench {
 		{"LiveExtend10", func(b *testing.B) { liveExtend(ctx, b, 10) }},
 		{"LiveExtend50", func(b *testing.B) { liveExtend(ctx, b, 50) }},
 		{"StoreChain50", storeChain50},
+		{"MaterializeChain50", func(b *testing.B) { materializeChain50(ctx, b) }},
 		{"DiffChain50", diffChain50},
 		{"DiffChain50Align", diffChain50Align},
 		{"HubCommit16", hubCommit16},
@@ -147,10 +148,11 @@ func liveExtend(ctx context.Context, b *testing.B, steps int) {
 	loop(b, func() error { return m.Fork().Extend(lastID, last) })
 }
 
-// commitChain commits the 50-step chain into a memory store whose table
-// cache holds every version — with oneAnchor, delta-encoded all the way
-// from the root — and returns its version ids, root → head.
-func commitChain(b *testing.B, oneAnchor bool) (*store.Store, []string) {
+// commitChain commits the 50-step chain into a store in dir ("" = memory
+// only) whose table cache holds every version — with oneAnchor,
+// delta-encoded all the way from the root — and returns its version ids,
+// root → head.
+func commitChain(b *testing.B, dir string, oneAnchor bool) (*store.Store, []string) {
 	b.Helper()
 	snaps, err := gen.Chain(gen.ChainConfig{N: 120, Steps: 50, Seed: 1})
 	if err != nil {
@@ -160,7 +162,7 @@ func commitChain(b *testing.B, oneAnchor bool) (*store.Store, []string) {
 	if oneAnchor {
 		opts.AnchorEvery = len(snaps) + 1
 	}
-	st, err := store.OpenWith("", opts)
+	st, err := store.OpenWith(dir, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func commitChain(b *testing.B, oneAnchor bool) (*store.Store, []string) {
 // served from the store's table LRU, so the steady state this records is
 // the zero-parse clone path.
 func storeChain50(b *testing.B) {
-	st, ids := commitChain(b, false)
+	st, ids := commitChain(b, "", false)
 	loop(b, func() error {
 		chain, err := st.Chain(ids[len(ids)-1])
 		for i := 0; err == nil && i < len(chain); i++ {
@@ -197,12 +199,39 @@ func storeChain50(b *testing.B) {
 	}
 }
 
+// materializeChain50 times a cold timeline read, as a fresh charles-store
+// timeline makes it: each op reopens an on-disk store holding the 50-step
+// chain (an anchor every DefaultAnchorEvery versions) and materializes it
+// root → head. The store rebuilds each blob from its parent's, so every
+// version must be parsed exactly once.
+func materializeChain50(ctx context.Context, b *testing.B) {
+	dir := b.TempDir()
+	st, ids := commitChain(b, dir, false)
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	loop(b, func() error {
+		st, err := store.Open(dir)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		if _, err := history.MaterializeChainContext(ctx, st, ids); err != nil {
+			return err
+		}
+		if parses := st.Stats().Parses; parses != int64(len(ids)) {
+			return fmt.Errorf("walk parsed %d times, want %d (each version once)", parses, len(ids))
+		}
+		return nil
+	})
+}
+
 // diffChainStore commits the 50-step chain with one anchor at the root and
 // warms every cache with one pass over the adjacent pairs — the steady
 // state both diff benchmarks measure.
 func diffChainStore(b *testing.B) (*store.Store, []string) {
 	b.Helper()
-	st, ids := commitChain(b, true)
+	st, ids := commitChain(b, "", true)
 	for i := 0; i+1 < len(ids); i++ {
 		if _, native, err := st.DiffResult(ids[i], ids[i+1], 1e-9); err != nil || !native {
 			b.Fatalf("pair %d: native=%v err=%v", i, native, err)

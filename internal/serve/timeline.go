@@ -162,10 +162,8 @@ func lineageIDs(st *store.Store, head string) ([]string, error) {
 	return ids, nil
 }
 
-// materializeLineage resolves head's lineage and materializes it
-// delta-natively: a cold walk checks out the root and derives each later
-// snapshot from its version's ChangeSet, and cached snapshots short-circuit
-// to the warm clone path.
+// materializeLineage resolves head's lineage and checks it out root → head
+// (see history.MaterializeChainContext).
 func materializeLineage(ctx context.Context, st *store.Store, head string) ([]string, []*table.Table, error) {
 	ids, err := lineageIDs(st, head)
 	if err != nil {

@@ -12,8 +12,7 @@ import (
 // exact row-level ops (removed keys, inserted rows, cell patches) its delta
 // pack persists, or Materialized=true for versions stored as full snapshots
 // (anchors, roots, full-pack fallbacks). It is diff.ChangeSet, so the diff
-// layer can answer change queries and materialize snapshots from it without
-// importing the store.
+// layer can answer change queries from it without importing the store.
 type ChangeSet = diff.ChangeSet
 
 // changeSetFor returns id's decoded ops through the change-set LRU. The
@@ -107,11 +106,12 @@ func (s *Store) Changes(id string) (*ChangeSet, error) {
 	}
 	// Resolve the canonical header once: from the base's decoded table when
 	// it happens to be resident, else from its (cached, hash-verified) blob.
-	// The column-enriched set replaces the cache entry — cached instances
-	// are immutable, so later calls are O(1) and concurrent readers of the
-	// bare instance are unaffected.
+	// The table probe is a peek: a miss fills nothing, so it is not counted
+	// as a table-cache request. The column-enriched set replaces the cache
+	// entry — cached instances are immutable, so later calls are O(1) and
+	// concurrent readers of the bare instance are unaffected.
 	var header []string
-	if t, ok := s.tables.get(cs.Base); ok {
+	if t, ok := s.tables.peek(cs.Base); ok {
 		header = t.Schema().Names()
 	} else {
 		blob, err := s.blobFor(cs.Base)
@@ -126,13 +126,6 @@ func (s *Store) Changes(id string) (*ChangeSet, error) {
 	out.Columns = header
 	s.changes.add(id, &out)
 	return &out, nil
-}
-
-// DeltaOps is the lightweight form of Changes the history layer's chain
-// materializer consumes (history.MaterializeChainContext): the cached op
-// set with no column-name resolution. Callers must not mutate the result.
-func (s *Store) DeltaOps(id string) (*ChangeSet, error) {
-	return s.changeSetFor(id)
 }
 
 // deltaPath reports whether toID is reachable from fromID through delta

@@ -447,37 +447,8 @@ func TestDiffResultRejectsTamperedOps(t *testing.T) {
 		t.Fatal("chain has no delta pack")
 	}
 	parent := s.versions[child].Parent
-
-	// Rewrite the pack with one op value flipped; it still decodes fine.
-	data, err := os.ReadFile(s.packPath(child))
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, body, err := decodePack(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, err := parseOps(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := false
-	for i := range ops {
-		if ops[i].kind == '~' && len(ops[i].vals) > 0 {
-			ops[i].vals[0] += "tampered"
-			tampered = true
-			break
-		}
-	}
-	if !tampered {
+	if !tamperPatch(t, s, child) {
 		t.Skip("no patch op to tamper with in this chain")
-	}
-	repacked, err := encodePack(meta, nil, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.packPath(child), repacked, 0o644); err != nil {
-		t.Fatal(err)
 	}
 
 	fresh, err := Open(dir) // cold caches: nothing pre-verified
@@ -492,6 +463,39 @@ func TestDiffResultRejectsTamperedOps(t *testing.T) {
 	}
 }
 
+// tamperPatch rewrites id's delta pack with its first patch value changed:
+// the pack still decodes, but the blob it rebuilds no longer hashes to id.
+// It reports false, changing nothing, when the pack holds no patch op.
+func tamperPatch(t *testing.T, s *Store, id string) bool {
+	t.Helper()
+	data, err := os.ReadFile(s.packPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, body, err := decodePack(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := parseOps(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ops {
+		if ops[i].kind == '~' && len(ops[i].vals) > 0 {
+			ops[i].vals[0] += "tampered"
+			repacked, err := encodePack(meta, nil, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.packPath(id), repacked, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}
+	}
+	return false
+}
+
 // TestParseOpsRejectsNegativeColumnIndex pins the decode-level guard: a
 // hand-edited op with a negative column index must fail to decode (it could
 // otherwise panic every consumer that indexes the header by it).
@@ -501,5 +505,32 @@ func TestParseOpsRejectsNegativeColumnIndex(t *testing.T) {
 	}
 	if _, err := parseOps([]byte("~,k,1,v\n")); err != nil {
 		t.Fatalf("valid op rejected: %v", err)
+	}
+}
+
+// TestChangesHeaderProbeIsNotACacheMiss: Changes resolves a delta version's
+// column header from its base's decoded table when that is resident, else
+// from the base's blob, with no parse. The table probe fills nothing, so it
+// must not count as a table-cache miss — Stats documents each parse as a
+// miss filled.
+func TestChangesHeaderProbeIsNotACacheMiss(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitChain(t, s, snaps)
+	cs, err := s.Changes(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Materialized || len(cs.Columns) == 0 {
+		t.Fatalf("Changes(v2) = %+v, want a delta with its header resolved", cs)
+	}
+	if st := s.Stats(); st.Tables.Misses != st.Parses {
+		t.Errorf("table-cache misses = %d, parses = %d; want equal", st.Tables.Misses, st.Parses)
 	}
 }

@@ -79,6 +79,19 @@ func (c *lruCache[V]) get(id string) (V, bool) {
 	return val, ok
 }
 
+// peek returns the cached value for id like get, but leaves its recency and
+// the hit/miss counters alone: a probe that fills nothing on a miss is not a
+// cache request.
+func (c *lruCache[V]) peek(id string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[id]; ok {
+		return el.Value.(*lruEntry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // add inserts (or refreshes) id's value, evicting the least recently used
 // entries beyond capacity and charging the new entry into the shared
 // budget. The caller hands over ownership: it must not mutate the value

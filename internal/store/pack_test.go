@@ -10,12 +10,14 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"charles/internal/core"
 	"charles/internal/csvio"
 	"charles/internal/gen"
 	"charles/internal/table"
+	"charles/internal/vfs"
 )
 
 // commitChain commits snapshots as a parent-linked chain and returns the ids.
@@ -658,5 +660,94 @@ func TestWarmCheckoutDoesNoParsing(t *testing.T) {
 	})
 	if allocs > 200 {
 		t.Errorf("warm Checkout costs %.0f allocs, want the no-parse clone path (<= 200)", allocs)
+	}
+}
+
+// packReadFS is the OS filesystem, counting ReadFile calls on pack files.
+type packReadFS struct {
+	vfs.OS
+	reads atomic.Int64
+}
+
+func (f *packReadFS) ReadFile(path string) ([]byte, error) {
+	if strings.HasSuffix(path, ".pack") {
+		f.reads.Add(1)
+	}
+	return f.OS.ReadFile(path)
+}
+
+// TestCheckoutWalkReadsEachPackOnce pins the rebuild start point: on a
+// freshly opened store, a root → head checkout walk rebuilds each version
+// from its parent's cached blob, so it reads each pack once instead of
+// every version's whole chain back to its anchor.
+func TestCheckoutWalkReadsEachPackOnce(t *testing.T) {
+	snaps, err := gen.Chain(gen.ChainConfig{N: 120, Steps: 19, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitChain(t, s, snaps)
+	if st := s.Stats(); st.FullPacks != 3 || st.DeltaPacks != 17 {
+		t.Fatalf("packs = %d full / %d delta, want 3 / 17 (an anchor every %d)", st.FullPacks, st.DeltaPacks, DefaultAnchorEvery)
+	}
+	fsys := &packReadFS{}
+	cold, err := OpenWith(dir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, err := cold.Checkout(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsys.reads.Load(); got != int64(len(ids)) {
+		t.Errorf("walk read %d pack files, want %d (one per version)", got, len(ids))
+	}
+}
+
+// TestCachedParentRebuildRejectsTamperedDelta pins the hash check on a
+// rebuild that starts from a cached parent blob: a child delta pack that
+// still decodes but carries one wrong cell fails Checkout and Blob with
+// ErrCorruptStore naming the child, and nothing of it is cached.
+func TestCachedParentRebuildRejectsTamperedDelta(t *testing.T) {
+	snaps, err := gen.Chain(gen.ChainConfig{N: 40, Steps: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitChain(t, s, snaps)
+	parent, child := ids[0], ids[1]
+	if s.packs[child].Kind != packDelta || !tamperPatch(t, s, child) {
+		t.Fatal("child is not a delta with a patch op to tamper with")
+	}
+
+	fsys := &packReadFS{}
+	fresh, err := OpenWith(dir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Blob(parent); err != nil {
+		t.Fatal(err)
+	}
+	before := fsys.reads.Load()
+	if _, err := fresh.Checkout(child); !errors.Is(err, ErrCorruptStore) || !strings.Contains(err.Error(), child) {
+		t.Errorf("Checkout err = %v, want ErrCorruptStore naming %s", err, child)
+	}
+	if got := fsys.reads.Load() - before; got != 1 {
+		t.Errorf("child rebuild read %d packs, want 1 (its own, on top of the cached parent)", got)
+	}
+	if _, err := fresh.Blob(child); !errors.Is(err, ErrCorruptStore) || !strings.Contains(err.Error(), child) {
+		t.Errorf("Blob err = %v, want ErrCorruptStore naming %s", err, child)
+	}
+	if st := fresh.Stats(); st.Blobs.Entries != 1 || st.Tables.Entries != 0 {
+		t.Errorf("cached %d blobs and %d tables, want only the parent's blob", st.Blobs.Entries, st.Tables.Entries)
 	}
 }

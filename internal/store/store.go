@@ -165,7 +165,7 @@ type Store struct {
 
 	tables  *lruCache[*table.Table] // decoded-table LRU behind Checkout
 	blobs   *lruCache[[]byte]       // reconstructed-blob LRU behind Blob
-	changes *lruCache[*ChangeSet]   // decoded delta-op LRU behind Changes/DeltaOps
+	changes *lruCache[*ChangeSet]   // decoded delta-op LRU behind Changes
 	results *lruCache[*diffAnswer]  // change-query LRU behind DiffResult
 	parses  atomic.Int64            // CSV parses performed (cache misses)
 	closed  atomic.Bool             // set by Close; guard() rejects further ops
@@ -567,11 +567,13 @@ func (s *Store) chainLocked(id string) ([]packLink, error) {
 	}
 }
 
-// reconstruct materializes the canonical CSV blob of chain[0] by decoding
-// the anchor and applying the deltas forward. It takes no locks: pack files
-// and memory pack slices are immutable once committed.
-func (s *Store) reconstruct(chain []packLink) ([]byte, error) {
-	var blob []byte
+// reconstruct materializes the canonical CSV blob of chain[0] by applying
+// the chain's deltas forward, starting from base: the blob of the version
+// just below chain's last link, or nil when that last link is the anchor to
+// decode. It takes no locks: pack files and memory pack slices are
+// immutable once committed.
+func (s *Store) reconstruct(chain []packLink, base []byte) ([]byte, error) {
+	blob := base
 	for i := len(chain) - 1; i >= 0; i-- {
 		link := chain[i]
 		data := link.mem
@@ -638,7 +640,10 @@ func (s *Store) plan(id string) (*Version, []packLink, error) {
 }
 
 // blobFor returns id's canonical blob through the blob LRU, reconstructing
-// (and caching) it on a miss. The returned bytes are shared and immutable.
+// (and caching) it on a miss. A reconstruction starts from the nearest
+// ancestor on id's pack chain whose blob is cached — it was hash-verified
+// when it was cached — so a root → head walk applies one delta per version.
+// The returned bytes are shared and immutable.
 func (s *Store) blobFor(id string) ([]byte, error) {
 	if blob, ok := s.blobs.get(id); ok {
 		return blob, nil
@@ -647,8 +652,15 @@ func (s *Store) blobFor(id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	var base []byte
+	for i := 1; i < len(chain); i++ {
+		if b, ok := s.blobs.peek(chain[i].id); ok {
+			chain, base = chain[:i], b
+			break
+		}
+	}
 	// Pack data is immutable once committed, so decoding runs off-lock.
-	blob, err := s.reconstruct(chain)
+	blob, err := s.reconstruct(chain, base)
 	if err != nil {
 		return nil, err
 	}
@@ -709,18 +721,6 @@ func (s *Store) Checkout(id string) (*table.Table, error) {
 		return nil, err
 	}
 	return t.Clone(), nil
-}
-
-// CheckoutCached returns a private clone of id's table if (and only if) it
-// is already resident in the table LRU — no reconstruction, no parsing.
-// Chain materializers use it to prefer the warm path over re-applying
-// deltas.
-func (s *Store) CheckoutCached(id string) (*table.Table, bool) {
-	t, ok := s.tables.get(id)
-	if !ok {
-		return nil, false
-	}
-	return t.Clone(), true
 }
 
 // Get returns the version metadata for id.
@@ -992,42 +992,6 @@ func (s *Store) GC() (GCReport, error) {
 		rep.BytesReclaimed += info.Size()
 	}
 	return rep, nil
-}
-
-// VerifySnapshot checks that t carries exactly the content committed under
-// id: its canonical serialization must hash back to the content id — the
-// same guarantee Checkout enforces on reconstructed blobs, applied to a
-// snapshot materialized outside the store (history's delta-native chain
-// walks). Snapshots whose cell texts are not canonical (programmatic
-// commits of untrimmed strings) cannot be re-serialized byte-identically
-// and fail verification even when correct; callers treat a failure as
-// "fall back to Checkout", which re-verifies from the raw bytes.
-func (s *Store) VerifySnapshot(id string, t *table.Table) error {
-	v, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	blob, err := canonicalCSV(t)
-	if err != nil {
-		return err
-	}
-	if got := contentID(blob, v.Key); got != id {
-		return fmt.Errorf("%w: version %s: materialized snapshot hashes to %s", ErrCorruptStore, id, got)
-	}
-	return nil
-}
-
-// AdmitSnapshot verifies an externally materialized snapshot (see
-// VerifySnapshot) and, on success, adopts a private clone of it into the
-// table LRU — so a delta-native chain walk warms the same cache a parsing
-// checkout would, and the next walk is served by CheckoutCached clones.
-// Failed verification admits nothing and returns the error.
-func (s *Store) AdmitSnapshot(id string, t *table.Table) error {
-	if err := s.VerifySnapshot(id, t); err != nil {
-		return err
-	}
-	s.tables.add(id, t.Clone())
-	return nil
 }
 
 // canonicalCSV serializes a table deterministically (rows sorted by primary

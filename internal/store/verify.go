@@ -89,7 +89,7 @@ func (s *Store) verifyVersion(id string) string {
 	if err != nil {
 		return err.Error()
 	}
-	blob, err := s.reconstruct(chain)
+	blob, err := s.reconstruct(chain, nil)
 	if err != nil {
 		return err.Error()
 	}

@@ -77,11 +77,10 @@ func DiffSnapshots(src, tgt *Table, tol float64) (*DiffResult, error) {
 	return diff.ResultFromPair(src, tgt, tol)
 }
 
-// MaterializeVersions materializes the given version ids in order,
-// delta-natively: a cold walk checks out the chain root and derives each
-// later version by applying its ChangeSet, and warm versions are served from
-// the store's table cache without parsing. The returned tables are identical
-// to per-id checkouts.
+// MaterializeVersions checks the given version ids out in order. The store
+// rebuilds each version from its nearest cached ancestor, so a cold root →
+// head walk applies one delta and parses once per version, and warm
+// versions are served from the store's table cache without parsing.
 func MaterializeVersions(ctx context.Context, st *VersionStore, ids []string) ([]*Table, error) {
 	return history.MaterializeChainContext(ctx, st, ids)
 }
