@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -264,7 +265,10 @@ feed:
 		return ranked[i].Summary.Fingerprint() < ranked[j].Summary.Fingerprint()
 	})
 	if len(ranked) > e.opts.TopK {
-		ranked = ranked[:e.opts.TopK]
+		// A slice of its own: truncating in place would keep every dropped
+		// candidate reachable through the backing array for as long as the
+		// answer lives (in the result cache, or in a maintained timeline).
+		ranked = slices.Clone(ranked[:e.opts.TopK])
 	}
 	return ranked, nil
 }

@@ -171,6 +171,33 @@ func TestTopKHonored(t *testing.T) {
 	}
 }
 
+// TestTopKDropsTheRest pins that an answer holds only its top K: the
+// candidates ranked below it must not stay reachable through the answer's
+// backing array, where the result cache and a maintained timeline would
+// keep every candidate of the run alive.
+func TestTopKDropsTheRest(t *testing.T) {
+	src, tgt := gen.Toy()
+	opts := DefaultOptions("bonus")
+	opts.TopK = 100
+	all, err := Summarize(src, tgt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.TopK = 3
+	if len(all) <= opts.TopK {
+		t.Fatalf("only %d candidates; the test needs more than TopK=%d", len(all), opts.TopK)
+	}
+	ranked, err := Summarize(src, tgt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ranked[len(ranked):cap(ranked)] {
+		if r != (Ranked{}) {
+			t.Fatalf("element %d past TopK is still set: %+v", len(ranked)+i, r)
+		}
+	}
+}
+
 func TestExplicitAttributePools(t *testing.T) {
 	src, tgt := gen.Toy()
 	opts := DefaultOptions("bonus")

@@ -5,10 +5,12 @@
 // rebuilt from the chain when the incremental step cannot apply — schema
 // change, branch switch) plus a bounded ring of watch events fanned out to
 // /timeline/watch subscribers. Head-relative POST /timeline answers are
-// assembled from the maintainer and memoized whole-response keyed by the
-// head version id (see handleTimeline), so a warm answer costs one cache
-// lookup regardless of chain length — the "query answering under updates"
-// discipline applied end to end.
+// encoded from the maintainer's timeline, each step and drift entry once:
+// the shard keeps the entries of its last answer, so the next head's answer
+// encodes only its new step's (see liveShard.answer). The encoded answer is
+// memoized keyed by the head version id (see handleTimeline), so a warm
+// answer costs one cache lookup regardless of chain length — the "query
+// answering under updates" discipline applied end to end.
 
 package serve
 
@@ -106,6 +108,7 @@ type liveShard struct {
 	seq      int64                       // event sequence, 1-based
 	events   []watchEvent                // ring of the last liveEventRing events
 	watchers map[*liveWatcher]struct{}
+	entries  map[entryKey][]byte // the encoded entries of the last live answer
 }
 
 // liveRegistry maps dataset keys to their live shards, created on first
@@ -229,8 +232,8 @@ func (ls *liveShard) publishLocked(v *store.Version, mode string) {
 		for _, attr := range mt.Attrs {
 			tl := mt.Timelines[attr]
 			tj := watchTargetJSON{Target: attr, NoChange: tl.Steps[last].NoChange}
-			if drifts := tl.Drifts(); len(drifts) > 0 {
-				tj.Drift = drifts[len(drifts)-1].Note
+			if last > 0 {
+				tj.Drift = driftAt(tl, last-1).Note
 			}
 			ev.Targets = append(ev.Targets, tj)
 		}
@@ -441,4 +444,19 @@ func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard
 		ls.head = head
 	}
 	return ls.maint.Timeline(), ls.maint.Versions(), nil
+}
+
+// answer encodes the live answer for head from mt over ids (see
+// encodeTimelineAnswer), reusing the entries of the shard's last answer and
+// keeping this answer's in their place. The kept entries therefore follow
+// one lineage and never outnumber one answer's.
+func (ls *liveShard) answer(head string, ids []string, mt *history.MultiTimeline) (*timelineAnswer, error) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	ans, entries, err := encodeTimelineAnswer(head, ids, true, mt, ls.entries)
+	if err != nil {
+		return nil, err
+	}
+	ls.entries = entries
+	return ans, nil
 }

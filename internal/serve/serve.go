@@ -458,11 +458,13 @@ const statusClientClosedRequest = 499
 // 503 (the server gave up under its own timeout — retryable), a shard or
 // hub closed mid-request 503 (the hub evicted or is shutting down —
 // retryable), a client cancellation 499, server-side damage — corrupt
-// stored data, IO failures (persist hitting a full or broken disk) — 500,
-// and everything else — malformed bodies, invalid names, CSV parse errors,
-// engine option validation — 400.
+// stored data, IO failures (persist hitting a full or broken disk), an
+// answer JSON cannot carry (a NaN in a summary) — 500, and everything else
+// — malformed bodies, invalid names, CSV parse errors, engine option
+// validation — 400.
 func writeError(w http.ResponseWriter, err error) {
 	var pathErr *fs.PathError
+	var unencodable *json.UnsupportedValueError
 	code := http.StatusBadRequest
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -475,7 +477,7 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, store.ErrStoreClosed), errors.Is(err, store.ErrHubClosed):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, store.ErrCorruptStore), errors.As(err, &pathErr):
+	case errors.Is(err, store.ErrCorruptStore), errors.As(err, &pathErr), errors.As(err, &unencodable):
 		code = http.StatusInternalServerError
 	}
 	writeJSON(w, code, errorJSON{Error: err.Error()})

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
@@ -40,36 +42,18 @@ type driftJSON struct {
 	Note             string `json:"note"`
 }
 
-// timelineTargetJSON is one attribute's summarized evolution.
-type timelineTargetJSON struct {
-	Target string             `json:"target"`
-	Steps  []timelineStepJSON `json:"steps"`
-	Drifts []driftJSON        `json:"drifts,omitempty"`
-}
-
-// timelineResponse is the POST /timeline body. Live reports the answer was
-// assembled from the commit-maintained timeline (head-relative all-default
-// requests; see live.go) rather than a request-time chain walk; Cached
-// reports the answer was served whole from the memo for the same question.
-type timelineResponse struct {
-	Head     string               `json:"head"`
-	Versions []string             `json:"versions"` // root → head
-	Steps    int                  `json:"steps"`
-	Live     bool                 `json:"live,omitempty"`
-	Cached   bool                 `json:"cached,omitempty"`
-	Targets  []timelineTargetJSON `json:"targets"`
-	Skipped  map[string]string    `json:"skipped,omitempty"`
-}
-
 // handleTimeline answers POST /timeline for the lineage ending at head. The
 // head-relative all-defaults question — "what does the timeline at the
 // current head look like?" — is read from the shard's maintained timeline;
 // every other question runs history.Walk over the materialized lineage, with
 // each (step, target) engine run memoized in the result LRU under the key
-// POST /summarize uses, so walks and pair questions warm each other. Either
-// way the whole answer is memoized too — per head for live answers, per
-// (head, options fingerprint) for walks, the fingerprint covering the
-// target — so a warm repeat is one cache lookup.
+// POST /summarize uses, so walks and pair questions warm each other. Both
+// kinds are encoded by encodeTimelineAnswer; a live answer reuses every
+// step and drift entry the shard's previous answer encoded, so the next
+// head costs only its new step's entries. Either way the encoded answer is
+// memoized too — per head for live answers, per (head, options
+// fingerprint) for walks, the fingerprint covering the target — so a warm
+// repeat is one cache lookup and a write of the stored bytes.
 func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	var req timelineRequest
 	// Every field is optional, so an absent body is the all-defaults
@@ -116,33 +100,32 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var mt *history.MultiTimeline
-		var ids []string
-		var err error
 		if live {
-			if mt, ids, err = s.liveTimelineAt(ctx, sh, ls, head); err == nil {
-				// Seed the pair LRU with the steps the commit pump appended
-				// outside any request.
-				s.seedStepCache(sh, ids, mt)
+			mt, ids, err := s.liveTimelineAt(ctx, sh, ls, head)
+			if err != nil {
+				return nil, err
 			}
-		} else {
-			var mats []*table.Table
-			if ids, mats, err = materializeLineage(ctx, sh.st, head); err == nil {
-				mt, err = history.Walk(ctx, mats, req.Target, opts, s.stepMemo(ctx, sh, ids))
-			}
+			// Seed the pair LRU with the steps the commit pump appended
+			// outside any request.
+			s.seedStepCache(sh, ids, mt)
+			return ls.answer(head, ids, mt)
 		}
+		ids, mats, err := materializeLineage(ctx, sh.st, head)
 		if err != nil {
 			return nil, err
 		}
-		return encodeTimeline(head, ids, live, mt), nil
+		mt, err := history.Walk(ctx, mats, req.Target, opts, s.stepMemo(ctx, sh, ids))
+		if err != nil {
+			return nil, err
+		}
+		ans, _, err := encodeTimelineAnswer(head, ids, false, mt, nil)
+		return ans, err
 	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	resp := val.(timelineResponse)
-	resp.Cached = hit
-	writeJSON(w, http.StatusOK, resp)
+	val.(*timelineAnswer).write(w, hit)
 }
 
 // lineageIDs returns the version ids of head's lineage, root → head. A
@@ -214,31 +197,176 @@ func (s *Server) seedStepCache(sh *shardRef, ids []string, mt *history.MultiTime
 	}
 }
 
-// encodeTimeline renders a MultiTimeline over the version ids as the wire
-// timelineResponse, with each target's drift analysis from the library.
-func encodeTimeline(head string, ids []string, live bool, mt *history.MultiTimeline) timelineResponse {
-	resp := timelineResponse{
-		Head: head, Versions: ids, Steps: mt.Steps,
-		Skipped: mt.Skipped, Live: live,
+// timelineEnvelope is the part of a timeline answer marshalled per answer:
+// the fields before "cached". Live reports the answer was assembled from
+// the commit-maintained timeline (head-relative all-default requests; see
+// live.go) rather than a request-time chain walk.
+type timelineEnvelope struct {
+	Head     string   `json:"head"`
+	Versions []string `json:"versions"` // root → head
+	Steps    int      `json:"steps"`
+	Live     bool     `json:"live,omitempty"`
+}
+
+// timelineAnswer is an encoded POST /timeline answer, kept as the byte
+// parts it is written in, in order. Its step and drift entries are shared
+// with the other answers along the lineage, so it is never flattened into
+// one copy. On the wire it reads
+//
+//	{"head", "versions", "steps", "live"?, "cached"?,
+//	 "targets": [{"target", "steps": [step…], "drifts"?: [drift…]}…] or null,
+//	 "skipped"?: {attribute: reason}}
+//
+// indented two spaces a level and ending in a newline, as writeJSON
+// writes. "cached" reports the answer was served whole from the memo for
+// the same question, so write splices it in.
+type timelineAnswer struct {
+	envelope []byte   // "{" through the last envelope field and its ",\n"
+	parts    [][]byte // "targets" through the closing "}\n"
+}
+
+// write sends the answer with a 200. A failed write means the client is
+// gone, so it ends the answer and there is no one left to tell.
+func (a *timelineAnswer) write(w http.ResponseWriter, cached bool) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, err := w.Write(a.envelope)
+	if err == nil && cached {
+		_, err = w.Write(cachedField)
 	}
-	for _, attr := range mt.Attrs {
-		tl := mt.Timelines[attr]
-		tj := timelineTargetJSON{Target: attr}
-		for _, hs := range tl.Steps {
-			sj := timelineStepJSON{From: ids[hs.From], To: ids[hs.To], NoChange: hs.NoChange}
-			if len(hs.Ranked) > 0 {
-				sj.Ranked = EncodeRanked(hs.Ranked)
+	for i := 0; err == nil && i < len(a.parts); i++ {
+		_, err = w.Write(a.parts[i])
+	}
+}
+
+// entryIndent prefixes every line of a step or drift entry after its first:
+// the entries sit four levels deep (answer, targets, target, list), so an
+// entry marshalled with it is byte for byte what an indenting encoder of
+// the whole answer writes there.
+const entryIndent = "        "
+
+// The answer's fixed separators, at the depths they sit.
+var (
+	cachedField  = []byte("  \"cached\": true,\n")
+	targetsNull  = []byte("  \"targets\": null")
+	targetsOpen  = []byte("  \"targets\": [\n")
+	nextTarget   = []byte(",\n")
+	nextEntry    = []byte(",\n" + entryIndent)
+	driftsOpen   = []byte(",\n      \"drifts\": [\n" + entryIndent)
+	entriesClose = []byte("\n      ]")
+	targetClose  = []byte("\n    }")
+	targetsClose = []byte("\n  ]")
+	skippedField = []byte(",\n  \"skipped\": ")
+	answerClose  = []byte("\n}\n")
+)
+
+// entryKey names one step or drift entry of a live answer by what
+// determines its bytes: a step by its target and version pair, a drift by
+// its target and the three versions its two steps span (a version's place
+// in its lineage is fixed, so a drift's step numbers are too). A step
+// leaves ids[2] empty.
+type entryKey struct {
+	target string
+	ids    [3]string
+}
+
+// encodeTimelineAnswer is the one timeline encoder: it encodes mt over the
+// version ids (root → head) as the answer for head. Each step and drift
+// entry found in prev — the entries of an earlier answer, nil for none — is
+// reused as it is, and only the others are encoded. It also returns the
+// entries this answer holds, for the next answer along the lineage.
+func encodeTimelineAnswer(head string, ids []string, live bool, mt *history.MultiTimeline, prev map[entryKey][]byte) (*timelineAnswer, map[entryKey][]byte, error) {
+	env, err := json.MarshalIndent(timelineEnvelope{Head: head, Versions: ids, Steps: mt.Steps, Live: live}, "", "  ")
+	if err != nil {
+		return nil, nil, err
+	}
+	ans := &timelineAnswer{
+		envelope: append(env[:len(env)-len("\n}")], ",\n"...),
+		parts:    make([][]byte, 0, 5+len(mt.Attrs)*(4*mt.Steps+2)),
+	}
+	used := make(map[entryKey][]byte, 2*len(mt.Attrs)*mt.Steps)
+	entry := func(k entryKey, v func() any) error {
+		b, ok := prev[k]
+		if !ok {
+			var err error
+			if b, err = json.MarshalIndent(v(), entryIndent, "  "); err != nil {
+				return fmt.Errorf("encode timeline: %w", err)
 			}
-			tj.Steps = append(tj.Steps, sj)
 		}
-		for _, d := range tl.Drifts() {
-			tj.Drifts = append(tj.Drifts, driftJSON{
-				StepA: d.StepA, StepB: d.StepB,
-				SamePartitioning: d.SamePartitioning,
-				Note:             d.Note,
-			})
-		}
-		resp.Targets = append(resp.Targets, tj)
+		used[k] = b
+		ans.parts = append(ans.parts, b)
+		return nil
 	}
-	return resp
+	if len(mt.Attrs) == 0 {
+		ans.parts = append(ans.parts, targetsNull)
+	} else {
+		ans.parts = append(ans.parts, targetsOpen)
+	}
+	for i, attr := range mt.Attrs {
+		name, err := json.Marshal(attr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if i > 0 {
+			ans.parts = append(ans.parts, nextTarget)
+		}
+		ans.parts = append(ans.parts, []byte("    {\n      \"target\": "+string(name)+",\n      \"steps\": [\n"+entryIndent))
+		tl := mt.Timelines[attr]
+		for j, hs := range tl.Steps {
+			if j > 0 {
+				ans.parts = append(ans.parts, nextEntry)
+			}
+			err := entry(entryKey{attr, [3]string{ids[hs.From], ids[hs.To]}}, func() any {
+				sj := timelineStepJSON{From: ids[hs.From], To: ids[hs.To], NoChange: hs.NoChange}
+				if len(hs.Ranked) > 0 {
+					sj.Ranked = EncodeRanked(hs.Ranked)
+				}
+				return sj
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		ans.parts = append(ans.parts, entriesClose)
+		for j := 0; j+1 < len(tl.Steps); j++ {
+			if j == 0 {
+				ans.parts = append(ans.parts, driftsOpen)
+			} else {
+				ans.parts = append(ans.parts, nextEntry)
+			}
+			a, b := tl.Steps[j], tl.Steps[j+1]
+			err := entry(entryKey{attr, [3]string{ids[a.From], ids[a.To], ids[b.To]}}, func() any {
+				d := driftAt(tl, j)
+				return driftJSON{StepA: d.StepA, StepB: d.StepB, SamePartitioning: d.SamePartitioning, Note: d.Note}
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		if len(tl.Steps) > 1 {
+			ans.parts = append(ans.parts, entriesClose)
+		}
+		ans.parts = append(ans.parts, targetClose)
+	}
+	if len(mt.Attrs) > 0 {
+		ans.parts = append(ans.parts, targetsClose)
+	}
+	if len(mt.Skipped) > 0 {
+		skipped, err := json.MarshalIndent(mt.Skipped, "  ", "  ")
+		if err != nil {
+			return nil, nil, err
+		}
+		ans.parts = append(ans.parts, skippedField, skipped)
+	}
+	ans.parts = append(ans.parts, answerClose)
+	return ans, used, nil
+}
+
+// driftAt is tl.Drifts()[j] without comparing every other pair of steps: a
+// drift compares two adjacent steps only, so it is the one drift of the
+// two-step timeline that steps j and j+1 form, renumbered.
+func driftAt(tl *history.Timeline, j int) history.Drift {
+	d := (&history.Timeline{Target: tl.Target, Steps: tl.Steps[j : j+2]}).Drifts()[0]
+	d.StepA, d.StepB = j, j+1
+	return d
 }

@@ -1,0 +1,442 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"charles/internal/core"
+	"charles/internal/gen"
+	"charles/internal/history"
+	"charles/internal/store"
+	"charles/internal/table"
+)
+
+// timelineTargetJSON is one attribute's summarized evolution.
+type timelineTargetJSON struct {
+	Target string             `json:"target"`
+	Steps  []timelineStepJSON `json:"steps"`
+	Drifts []driftJSON        `json:"drifts,omitempty"`
+}
+
+// timelineResponse is a whole POST /timeline answer as one struct (see
+// timelineAnswer for the fields). Tests decode answers into it, and
+// encodeTimeline fills it for the oracle.
+type timelineResponse struct {
+	Head     string               `json:"head"`
+	Versions []string             `json:"versions"` // root → head
+	Steps    int                  `json:"steps"`
+	Live     bool                 `json:"live,omitempty"`
+	Cached   bool                 `json:"cached,omitempty"`
+	Targets  []timelineTargetJSON `json:"targets"`
+	Skipped  map[string]string    `json:"skipped,omitempty"`
+}
+
+// encodeTimeline renders a MultiTimeline over the version ids as one
+// timelineResponse, encoding every step and drift afresh. It is the
+// whole-answer encoder the served answers are pinned against.
+func encodeTimeline(head string, ids []string, live bool, mt *history.MultiTimeline) timelineResponse {
+	resp := timelineResponse{
+		Head: head, Versions: ids, Steps: mt.Steps,
+		Skipped: mt.Skipped, Live: live,
+	}
+	for _, attr := range mt.Attrs {
+		tl := mt.Timelines[attr]
+		tj := timelineTargetJSON{Target: attr}
+		for _, hs := range tl.Steps {
+			sj := timelineStepJSON{From: ids[hs.From], To: ids[hs.To], NoChange: hs.NoChange}
+			if len(hs.Ranked) > 0 {
+				sj.Ranked = EncodeRanked(hs.Ranked)
+			}
+			tj.Steps = append(tj.Steps, sj)
+		}
+		for _, d := range tl.Drifts() {
+			tj.Drifts = append(tj.Drifts, driftJSON{
+				StepA: d.StepA, StepB: d.StepB,
+				SamePartitioning: d.SamePartitioning,
+				Note:             d.Note,
+			})
+		}
+		resp.Targets = append(resp.Targets, tj)
+	}
+	return resp
+}
+
+// oracleAnswer is what writeJSON sends for encodeTimeline's answer, or the
+// error that keeps the answer from being encoded at all.
+func oracleAnswer(head string, ids []string, live, cached bool, mt *history.MultiTimeline) (string, error) {
+	resp := encodeTimeline(head, ids, live, mt)
+	resp.Cached = cached
+	if _, err := json.Marshal(resp); err != nil {
+		return "", err
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, resp)
+	return rec.Body.String(), nil
+}
+
+// answerBytes is what ans.write sends.
+func answerBytes(t *testing.T, ans *timelineAnswer, cached bool) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	ans.write(rec, cached)
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("answer written with status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	return rec.Body.String()
+}
+
+// commonRows projects a gen.MutateChain lineage onto the keys every
+// version shares, as the history package's maintainer tests do: a timeline
+// step needs a fixed entity set.
+func commonRows(t *testing.T, snaps []*table.Table) []*table.Table {
+	t.Helper()
+	keyOf := func(snap *table.Table, r int) string {
+		k, err := snap.KeyOf(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	common := map[string]int{}
+	for _, snap := range snaps {
+		for r := 0; r < snap.NumRows(); r++ {
+			common[keyOf(snap, r)]++
+		}
+	}
+	out := make([]*table.Table, len(snaps))
+	for i, snap := range snaps {
+		keep := make([]bool, snap.NumRows())
+		for r := range keep {
+			keep[r] = common[keyOf(snap, r)] == len(snaps)
+		}
+		proj, err := snap.Filter(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := proj.SetKey("id"); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = proj
+	}
+	return out
+}
+
+// categoricalChain is a lineage whose steps move only a string attribute:
+// its timelines have no targets, and every answer reads "targets": null.
+func categoricalChain(t *testing.T) []*table.Table {
+	t.Helper()
+	base, err := gen.Chain(gen.ChainConfig{N: 12, Steps: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*table.Table{base[0]}
+	for i := 0; i < 2; i++ {
+		next := snaps[len(snaps)-1].Clone()
+		if err := next.MustColumn("dept").Set(i, table.S("OPS")); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, next)
+	}
+	return snaps
+}
+
+// TestTimelineAnswerMatchesStructEncoder is the differential test of the
+// timeline encoder. A lineage is committed one version at a time, and at
+// each new head the served live answer (built on the previous head's
+// entries) and walk answer each equal writeJSON of the whole-answer struct
+// byte for byte, cold and cached. The lineages are gen.Chain, projected
+// gen.MutateChain and one that moves no numeric attribute ("targets":
+// null); their first heads have one step and no drifts, the mutated ones
+// skip non-numeric attributes, and one of them holds a NaN in a summary,
+// which JSON cannot carry: then the oracle cannot encode the answer either,
+// and the server answers 500 instead of a partial or empty 200.
+func TestTimelineAnswerMatchesStructEncoder(t *testing.T) {
+	chain, err := gen.Chain(gen.ChainConfig{N: 40, Steps: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineages := map[string][]*table.Table{"chain": chain, "categorical": categoricalChain(t)}
+	for _, seed := range []int64{1, 2, 3} {
+		snaps, err := gen.MutateChain(gen.FuzzConfig{N: 20, Steps: 6, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lineages[fmt.Sprintf("mutate seed %d", seed)] = commonRows(t, snaps)
+	}
+	type ask struct {
+		body         timelineRequest
+		live, cached bool
+	}
+	var oneStep, nulls, skips, unencodable int
+	for name, snaps := range lineages {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(NewServer(st, 0))
+			t.Cleanup(ts.Close)
+			var ids []string
+			var mats []*table.Table
+			for _, snap := range snaps {
+				parent := ""
+				if len(ids) > 0 {
+					parent = ids[len(ids)-1]
+				}
+				v, err := st.Commit(snap, parent, "step")
+				if errors.Is(err, store.ErrLineageConflict) {
+					continue // the projection repeats an earlier version
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				mat, err := st.Checkout(v.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, mats = append(ids, v.ID), append(mats, mat)
+				if len(ids) < 2 {
+					continue
+				}
+				mt, err := history.Walk(context.Background(), mats, "", core.DefaultOptions(""), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mt.Steps == 1 {
+					oneStep++
+				}
+				if len(mt.Attrs) == 0 {
+					nulls++
+				}
+				if len(mt.Skipped) > 0 {
+					skips++
+				}
+				for _, a := range []ask{
+					{timelineRequest{}, true, false},
+					{timelineRequest{}, true, true},
+					{timelineRequest{Head: v.ID}, false, false},
+					{timelineRequest{Head: v.ID}, false, true},
+				} {
+					want, encErr := oracleAnswer(v.ID, ids, a.live, a.cached, mt)
+					resp, body := postJSON(t, ts.URL+"/timeline", a.body)
+					if encErr != nil {
+						unencodable++
+						if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value") {
+							t.Errorf("head %d live=%v: the struct encoder cannot encode the answer (%v), served %d: %s", len(ids)-1, a.live, encErr, resp.StatusCode, body)
+						}
+						continue
+					}
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+						t.Fatalf("head %d live=%v: status %d, content type %q: %s", len(ids)-1, a.live, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+					}
+					if string(body) != want {
+						t.Errorf("head %d live=%v cached=%v: served answer differs from the struct encoder's\n got %s\nwant %s", len(ids)-1, a.live, a.cached, body, want)
+					}
+				}
+			}
+			if len(ids) < 3 {
+				t.Fatalf("lineage of %d versions", len(ids))
+			}
+		})
+	}
+	if oneStep == 0 || nulls == 0 || skips == 0 || unencodable == 0 {
+		t.Errorf("cases not covered: %d one-step answers, %d null-target, %d with skipped attributes, %d unencodable", oneStep, nulls, skips, unencodable)
+	}
+}
+
+// TestLiveAnswerReusesEntries pins the per-commit cost of a live answer:
+// after one commit, the new head's answer reuses every entry of the
+// previous head's answer — the same bytes, not a re-encoding — and encodes
+// only the new step's entries: per target, its step and its drift against
+// the step before.
+func TestLiveAnswerReusesEntries(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, 0)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps)
+	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
+	ls := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
+	answerAt := func(head string) (*timelineAnswer, *history.MultiTimeline, []string) {
+		t.Helper()
+		mt, at, err := srv.liveTimelineAt(context.Background(), sh, ls, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := ls.answer(head, at, mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans, mt, at
+	}
+	k := len(ids) - 2
+	answerAt(ids[k])
+	before := ls.entries
+	ans, mt, at := answerAt(ids[k+1])
+
+	written := map[*byte]bool{}
+	for _, p := range ans.parts {
+		written[&p[0]] = true
+	}
+	for key, old := range before {
+		if now, ok := ls.entries[key]; !ok || &now[0] != &old[0] || !written[&old[0]] {
+			t.Errorf("entry %v of head k was not reused by head k+1", key)
+		}
+	}
+	head := ids[k+1]
+	var steps, drifts int
+	for key := range ls.entries {
+		if _, ok := before[key]; ok {
+			continue
+		}
+		switch {
+		case key.ids[1] == head && key.ids[2] == "":
+			steps++
+		case key.ids[2] == head:
+			drifts++
+		default:
+			t.Errorf("head k+1 encoded entry %v, which its new step does not determine", key)
+		}
+	}
+	if steps != len(mt.Attrs) || drifts != len(mt.Attrs) || len(ls.entries) != len(before)+2*len(mt.Attrs) {
+		t.Errorf("head k+1 encoded %d step and %d drift entries (%d kept, %d before), want %d of each",
+			steps, drifts, len(ls.entries), len(before), len(mt.Attrs))
+	}
+	want, err := oracleAnswer(head, at, true, false, mt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := answerBytes(t, ans, false); got != want {
+		t.Errorf("reused answer differs from the struct encoder's\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestLiveAnswerConcurrentHeads builds the live answers of two adjacent
+// heads from four goroutines at once, so builds on each other's kept
+// entries interleave. Under -race it pins that the shard's entries are
+// shared safely, and every answer equals the struct encoder's for its head
+// byte for byte.
+func TestLiveAnswerConcurrentHeads(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, 0)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps)
+	mats, err := history.MaterializeChainContext(context.Background(), st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads := ids[len(ids)-2:]
+	want := map[string]string{}
+	for _, head := range heads {
+		k := slices.Index(ids, head)
+		mt, err := history.Walk(context.Background(), mats[:k+1], "", core.DefaultOptions(""), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[head], err = oracleAnswer(head, ids[:k+1], true, false, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
+	ls := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				head := heads[(g+i)%2]
+				mt, at, err := srv.liveTimelineAt(context.Background(), sh, ls, head)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ans, err := ls.answer(head, at, mt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rec := httptest.NewRecorder()
+				ans.write(rec, false)
+				if got := rec.Body.String(); got != want[head] {
+					t.Errorf("answer at %s differs from the struct encoder's\n got %s\nwant %s", head, got, want[head])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// discardWriter is an http.ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardWriter) WriteHeader(int)             {}
+
+// BenchmarkTimelineAnswer measures the live answer built per commit, at 80
+// and 156 steps of a maintained gen.Chain timeline: "struct" builds the
+// whole answer struct and writes it with writeJSON, as every answer was
+// once encoded; "entries" encodes it reusing the previous head's entries,
+// as a live shard does, and writes the parts.
+func BenchmarkTimelineAnswer(b *testing.B) {
+	snaps, err := gen.Chain(gen.ChainConfig{N: 200, Steps: 156, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]string, len(snaps))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%012x", i)
+	}
+	m, err := history.NewTimelineMaintainerContext(context.Background(), snaps, ids, core.DefaultOptions(""))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := discardWriter{h: http.Header{}}
+	for _, n := range []int{80, 156} {
+		head := ids[n]
+		mt, at, _ := m.TimelineAt(head)
+		prevMT, prevIDs, _ := m.TimelineAt(ids[n-1])
+		_, prev, err := encodeTimelineAnswer(ids[n-1], prevIDs, true, prevMT, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("steps=%d/struct", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				writeJSON(w, http.StatusOK, encodeTimeline(head, at, true, mt))
+			}
+		})
+		b.Run(fmt.Sprintf("steps=%d/entries", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ans, _, err := encodeTimelineAnswer(head, at, true, mt, prev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ans.write(w, false)
+			}
+		})
+	}
+}

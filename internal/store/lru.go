@@ -36,10 +36,6 @@ type lruEntry[V any] struct {
 	bh  *list.Element // budget handle (nil until charged, or uncharged)
 }
 
-func newLRU[V any](capacity int) *lruCache[V] {
-	return newSizedLRU[V](capacity, nil, nil)
-}
-
 // newSizedLRU creates a cache whose entries are byte-accounted by sizeOf
 // into the shared budget (both may be nil for a plain count-bounded cache).
 func newSizedLRU[V any](capacity int, sizeOf func(V) int64, budget *Budget) *lruCache[V] {

@@ -329,7 +329,7 @@ func TestCheckoutNeverAliasesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := first.RowByKey("Anne")
+	row, err := rowByKey(first, "Anne")
 	if err != nil || row < 0 {
 		t.Fatalf("Anne missing: %d %v", row, err)
 	}
@@ -340,7 +340,7 @@ func TestCheckoutNeverAliasesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row2, _ := second.RowByKey("Anne")
+	row2, _ := rowByKey(second, "Anne")
 	if got, _ := second.Value(row2, "bonus"); got.Float() == -1 {
 		t.Fatal("cache hit returned a table aliasing a previously returned (mutated) table")
 	}

@@ -12,6 +12,18 @@ import (
 	"charles/internal/table"
 )
 
+// rowByKey returns the row holding key in tbl's primary-key index, or -1.
+func rowByKey(tbl *table.Table, key string) (int, error) {
+	idx, err := tbl.KeyIndexFor(tbl.Key())
+	if err != nil {
+		return -1, err
+	}
+	if row, ok := idx[key]; ok {
+		return row, nil
+	}
+	return -1, nil
+}
+
 func TestCommitCheckoutRoundTrip(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -33,7 +45,7 @@ func TestCommitCheckoutRoundTrip(t *testing.T) {
 		t.Errorf("checkout rows = %d", back.NumRows())
 	}
 	// Values survive (canonical order may differ from insertion order).
-	row, err := back.RowByKey("Anne")
+	row, err := rowByKey(back, "Anne")
 	if err != nil || row < 0 {
 		t.Fatalf("Anne missing after round-trip: %d, %v", row, err)
 	}
@@ -181,7 +193,7 @@ func TestPersistenceAcrossOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := back.RowByKey("Anne")
+	row, err := rowByKey(back, "Anne")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +308,7 @@ func TestConcurrentStoreHammer(t *testing.T) {
 			parent := v2.ID
 			for i := 0; i < 5; i++ {
 				mod := d2.Clone()
-				row, err := mod.RowByKey("Anne")
+				row, err := rowByKey(mod, "Anne")
 				if err != nil {
 					errc <- err
 					return

@@ -29,8 +29,8 @@ func (c *Column) MemBytes() int64 {
 }
 
 // MemBytes estimates the table's resident memory in bytes: every column's
-// payload plus the key declaration and key index. See Column.MemBytes for
-// the estimate's contract.
+// payload plus the key declaration. See Column.MemBytes for the estimate's
+// contract.
 func (t *Table) MemBytes() int64 {
 	const strOverhead = 16
 	var n int64 = 64 // struct + slice headers
@@ -39,9 +39,6 @@ func (t *Table) MemBytes() int64 {
 	}
 	for _, k := range t.key {
 		n += int64(len(k)) + strOverhead
-	}
-	for k := range t.keyIndex {
-		n += int64(len(k)) + strOverhead + 8
 	}
 	return n
 }

@@ -44,8 +44,7 @@ type Table struct {
 	cols   []*Column
 	byName map[string]int
 
-	key      []string       // primary-key column names (may be empty)
-	keyIndex map[string]int // encoded key -> row (built lazily)
+	key []string // primary-key column names (may be empty)
 }
 
 // New creates an empty table with the given schema.
@@ -132,7 +131,6 @@ func (t *Table) AppendRow(vals ...Value) error {
 			return err
 		}
 	}
-	t.keyIndex = nil
 	return nil
 }
 
@@ -163,7 +161,6 @@ func (t *Table) SetKey(cols ...string) error {
 		}
 	}
 	t.key = append([]string(nil), cols...)
-	t.keyIndex = nil
 	return nil
 }
 
@@ -290,8 +287,8 @@ func (t *Table) KeyFor(row int, cols []string) (string, error) {
 }
 
 // KeyIndexFor builds and returns an encoded-key → row index over cols,
-// rejecting duplicate keys. Unlike the lazy cache behind RowByKey it never
-// mutates the table, so concurrent callers may index a shared table safely.
+// rejecting duplicate keys. It never mutates the table, so concurrent
+// callers may index a shared table safely.
 func (t *Table) KeyIndexFor(cols []string) (map[string]int, error) {
 	idx := make(map[string]int, t.NumRows())
 	for r := 0; r < t.NumRows(); r++ {
@@ -305,32 +302,6 @@ func (t *Table) KeyIndexFor(cols []string) (map[string]int, error) {
 		idx[k] = r
 	}
 	return idx, nil
-}
-
-// RowByKey returns the row index holding the given encoded key, or -1.
-func (t *Table) RowByKey(key string) (int, error) {
-	if t.keyIndex == nil {
-		if err := t.buildKeyIndex(); err != nil {
-			return -1, err
-		}
-	}
-	row, ok := t.keyIndex[key]
-	if !ok {
-		return -1, nil
-	}
-	return row, nil
-}
-
-func (t *Table) buildKeyIndex() error {
-	if len(t.key) == 0 {
-		return fmt.Errorf("table: no primary key set")
-	}
-	idx, err := t.KeyIndexFor(t.key)
-	if err != nil {
-		return err
-	}
-	t.keyIndex = idx
-	return nil
 }
 
 // Clone returns a deep copy of the table (including the key declaration).

@@ -95,13 +95,15 @@ func TestKeyIndexAndDuplicates(t *testing.T) {
 	if err != nil || k != "2" {
 		t.Fatalf("KeyOf(1) = %q, %v", k, err)
 	}
-	row, err := tbl.RowByKey("3")
-	if err != nil || row != 2 {
-		t.Fatalf("RowByKey(3) = %d, %v", row, err)
+	idx, err := tbl.KeyIndexFor(tbl.Key())
+	if err != nil {
+		t.Fatal(err)
 	}
-	row, err = tbl.RowByKey("404")
-	if err != nil || row != -1 {
-		t.Fatalf("missing key should give -1, got %d, %v", row, err)
+	if row, ok := idx["3"]; !ok || row != 2 {
+		t.Fatalf("index[3] = %d, %v", row, ok)
+	}
+	if row, ok := idx["404"]; ok {
+		t.Fatalf("missing key indexed at row %d", row)
 	}
 
 	dup := MustNew(Schema{{Name: "id", Type: Int}})
@@ -110,7 +112,7 @@ func TestKeyIndexAndDuplicates(t *testing.T) {
 	if err := dup.SetKey("id"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dup.RowByKey("1"); err == nil {
+	if _, err := dup.KeyIndexFor(dup.Key()); err == nil {
 		t.Error("duplicate key index build should fail")
 	}
 }
