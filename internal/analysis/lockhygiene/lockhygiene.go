@@ -257,7 +257,7 @@ func isMutexField(fl *ast.Field) bool {
 }
 
 // recvInfo extracts the receiver variable name and base type name,
-// unwrapping pointers and type parameters (lruCache[V]).
+// unwrapping pointers and type parameters (Cache[V]).
 func recvInfo(fd *ast.FuncDecl) (recvName, typeName string) {
 	if len(fd.Recv.List) != 1 {
 		return "", ""

@@ -317,24 +317,6 @@ func majority(labels []int, rows []int) int {
 	return best
 }
 
-// gini computes the Gini impurity of the label distribution over rows.
-func gini(labels []int, rows []int) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	counts := labelCounts(labels, rows)
-	n := float64(len(rows))
-	g := 1.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		g -= p * p
-	}
-	return g
-}
-
 // NiceThreshold picks a human-friendly split point in the half-open interval
 // (lo, hi]: the roundest value that still separates lo from hi under the
 // predicate `x < threshold`. It prefers integers and short decimals; when no

@@ -9,6 +9,24 @@ import (
 	"charles/internal/table"
 )
 
+// gini computes the Gini impurity of the label distribution over rows.
+func gini(labels []int, rows []int) float64 {
+	if len(rows) == 0 {
+		return 0
+	}
+	counts := labelCounts(labels, rows)
+	n := float64(len(rows))
+	g := 1.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / n
+		g -= p * p
+	}
+	return g
+}
+
 // naiveBestSplit is the historical reference implementation: enumerate
 // candidate atoms per attribute, re-partition the rows per candidate, and
 // keep the largest Gini gain. The histogram-based bestSplit must select the

@@ -376,16 +376,4 @@ func (f *FS) ReadDir(path string) ([]fs.DirEntry, error) {
 	return out, nil
 }
 
-// DumpNames lists the volatile file names (diagnostics for failing tests).
-func (f *FS) DumpNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var names []string
-	for name := range f.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 var _ vfs.FS = (*FS)(nil)

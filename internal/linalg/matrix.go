@@ -1,13 +1,12 @@
 // Package linalg provides the dense linear algebra needed by the regression
-// layer: a row-major Matrix type, Householder QR factorization, linear-system
-// and least-squares solvers, and vector utilities. It is deliberately small
-// and dependency-free; ChARLES only ever solves skinny least-squares systems
+// layer: a row-major Matrix type, Householder QR factorization, and
+// least-squares and ridge solvers. It is deliberately small and
+// dependency-free; ChARLES only ever solves skinny least-squares systems
 // (rows = partition size, cols = |T|+1 ≤ a handful).
 package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -25,22 +24,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices (all must share a length).
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: row %d has %d entries, want %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns m[i,j].
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -50,59 +33,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	return append([]float64(nil), m.Data[i*m.Cols:(i+1)*m.Cols]...)
-}
-
-// MulVec computes y = M·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("linalg: MulVec: len(x)=%d, want %d", len(x), m.Cols)
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y, nil
-}
-
-// Transpose returns Mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns M·N.
-func (m *Matrix) Mul(n *Matrix) (*Matrix, error) {
-	if m.Cols != n.Rows {
-		return nil, fmt.Errorf("linalg: Mul: %dx%d × %dx%d mismatch", m.Rows, m.Cols, n.Rows, n.Cols)
-	}
-	out := NewMatrix(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < n.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * n.At(k, j)
-			}
-		}
-	}
-	return out, nil
 }
 
 // String renders the matrix for debugging.
@@ -118,52 +48,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Dot returns ⟨a,b⟩.
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	// Scaled to avoid overflow, matching the classic BLAS dnrm2 approach.
-	scale, ssq := 0.0, 1.0
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			ssq = 1 + ssq*(scale/ax)*(scale/ax)
-			scale = ax
-		} else {
-			ssq += (ax / scale) * (ax / scale)
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// Norm1 returns Σ|vᵢ|.
-func Norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns max|vᵢ|.
-func NormInf(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
 }

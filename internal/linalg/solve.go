@@ -9,61 +9,6 @@ import (
 // ErrSingular is returned when a system is (numerically) rank deficient.
 var ErrSingular = errors.New("linalg: matrix is singular or rank deficient")
 
-// SolveLinear solves the square system A·x = b via Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("linalg: SolveLinear needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLinear: len(b)=%d, want %d", len(b), n)
-	}
-	// Augmented working copy.
-	m := a.Clone()
-	x := append([]float64(nil), b...)
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest |entry| in this column at or below the diagonal.
-		pivot, pmax := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > pmax {
-				pivot, pmax = r, v
-			}
-		}
-		if pmax == 0 || math.IsNaN(pmax) {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for j := col; j < n; j++ {
-				tmp := m.At(col, j)
-				m.Set(col, j, m.At(pivot, j))
-				m.Set(pivot, j, tmp)
-			}
-			x[col], x[pivot] = x[pivot], x[col]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
-}
-
 // QR holds a Householder QR factorization of an m×n matrix with m ≥ n:
 // A = Q·R with Q orthogonal (stored implicitly as Householder vectors) and
 // R upper triangular.
@@ -132,25 +77,6 @@ func (f *QR) FullRank() bool {
 		}
 	}
 	return true
-}
-
-// ConditionEstimate returns max|R_ii| / min|R_ii|, a cheap proxy for the
-// 2-norm condition number of A.
-func (f *QR) ConditionEstimate() float64 {
-	mind, maxd := math.Inf(1), 0.0
-	for _, d := range f.rdia {
-		a := math.Abs(d)
-		if a < mind {
-			mind = a
-		}
-		if a > maxd {
-			maxd = a
-		}
-	}
-	if mind == 0 {
-		return math.Inf(1)
-	}
-	return maxd / mind
 }
 
 // Solve returns x minimizing ‖A·x − b‖₂ using the stored factorization.

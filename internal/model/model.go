@@ -93,24 +93,6 @@ func (tr Transformation) Complexity() int {
 	return n
 }
 
-// Constants returns the numeric constants appearing in the transformation
-// (nonzero coefficients and intercept), for normality scoring.
-func (tr Transformation) Constants() []float64 {
-	if tr.NoChange {
-		return nil
-	}
-	var out []float64
-	for _, c := range tr.Coef {
-		if c != 0 {
-			out = append(out, c)
-		}
-	}
-	if tr.Intercept != 0 {
-		out = append(out, tr.Intercept)
-	}
-	return out
-}
-
 // String renders e.g. "new_bonus = 1.05×bonus + 1000" or "no change".
 func (tr Transformation) String() string {
 	if tr.NoChange {

@@ -52,8 +52,8 @@ func TestIdentityTransformation(t *testing.T) {
 	if err != nil || got != 11000 {
 		t.Errorf("identity Apply = %v, %v", got, err)
 	}
-	if id.Complexity() != 0 || id.Constants() != nil {
-		t.Error("identity has no variables or constants")
+	if id.Complexity() != 0 {
+		t.Error("identity has no variables")
 	}
 	if id.String() != "no change" {
 		t.Errorf("identity String = %q", id.String())
@@ -72,14 +72,6 @@ func TestTransformationComplexityAndConstants(t *testing.T) {
 	tr := Transformation{Target: "y", Inputs: []string{"a", "b", "c"}, Coef: []float64{1.05, 0, -2}, Intercept: 400}
 	if tr.Complexity() != 2 {
 		t.Errorf("Complexity = %d (zero coefficients must not count)", tr.Complexity())
-	}
-	consts := tr.Constants()
-	if len(consts) != 3 {
-		t.Errorf("Constants = %v", consts)
-	}
-	noIcpt := Transformation{Target: "y", Inputs: []string{"a"}, Coef: []float64{2}}
-	if len(noIcpt.Constants()) != 1 {
-		t.Error("zero intercept should not be a constant")
 	}
 }
 

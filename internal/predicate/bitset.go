@@ -101,16 +101,3 @@ func (b Bitset) ForEach(fn func(i int)) {
 		}
 	}
 }
-
-// Bools expands the first n bits into dst (grown as needed) and returns it;
-// the bridge between the compiled path and []bool consumers.
-func (b Bitset) Bools(dst []bool, n int) []bool {
-	if cap(dst) < n {
-		dst = make([]bool, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = b.Test(i)
-	}
-	return dst
-}

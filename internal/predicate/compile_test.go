@@ -165,12 +165,6 @@ func TestBitsetOps(t *testing.T) {
 	if fmt.Sprint(got) != "[0 64 129]" {
 		t.Fatalf("ForEach = %v", got)
 	}
-	bools := b.Bools(nil, 130)
-	for i, v := range bools {
-		if v != b.Test(i) {
-			t.Fatalf("Bools[%d] mismatch", i)
-		}
-	}
 	b.AndNot(b)
 	if b.Count() != 0 {
 		t.Fatal("AndNot self not empty")

@@ -125,15 +125,6 @@ func (m *Model) Predict(features []float64) float64 {
 	return s
 }
 
-// Residuals returns yᵢ − ŷᵢ for each row.
-func (m *Model) Residuals(x [][]float64, y []float64) []float64 {
-	out := make([]float64, len(y))
-	for i := range y {
-		out[i] = y[i] - m.Predict(x[i])
-	}
-	return out
-}
-
 // Clone returns a deep copy of the model.
 func (m *Model) Clone() *Model {
 	c := *m
@@ -179,41 +170,4 @@ func (m *Model) computeDiagnostics(x [][]float64, y []float64) {
 func (m *Model) Refit(x [][]float64, y []float64) {
 	m.computeDiagnostics(x, y)
 	m.N = len(y)
-}
-
-// Equation renders the model as a human-readable right-hand side,
-// e.g. "1.05×bonus + 1000" for names = ["bonus"].
-func (m *Model) Equation(names []string) string {
-	out := ""
-	for j, c := range m.Coef {
-		name := fmt.Sprintf("x%d", j)
-		if j < len(names) {
-			name = names[j]
-		}
-		if c == 0 {
-			continue
-		}
-		term := fmt.Sprintf("%s×%s", trimFloat(c), name)
-		if out == "" {
-			out = term
-		} else if c >= 0 {
-			out += " + " + term
-		} else {
-			out += " - " + fmt.Sprintf("%s×%s", trimFloat(-c), name)
-		}
-	}
-	switch {
-	case out == "":
-		out = trimFloat(m.Intercept)
-	case m.Intercept > 0:
-		out += " + " + trimFloat(m.Intercept)
-	case m.Intercept < 0:
-		out += " - " + trimFloat(-m.Intercept)
-	}
-	return out
-}
-
-func trimFloat(x float64) string {
-	s := fmt.Sprintf("%.6g", x)
-	return s
 }

@@ -125,12 +125,6 @@ func TestResidualsAndPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.Residuals(x, y)
-	for i, r := range res {
-		if !almostEq(r, 0, 1e-9) {
-			t.Errorf("residual[%d] = %v", i, r)
-		}
-	}
 	if !almostEq(m.Predict([]float64{10}), 21, 1e-9) {
 		t.Errorf("extrapolation = %v, want 21", m.Predict([]float64{10}))
 	}
@@ -143,18 +137,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Intercept = 99
 	if m.Coef[0] != 1 || m.Intercept != 3 {
 		t.Error("Clone not deep")
-	}
-}
-
-func TestEquationRendering(t *testing.T) {
-	m := &Model{Coef: []float64{1.05, -2}, Intercept: 1000}
-	eq := m.Equation([]string{"bonus", "salary"})
-	if eq != "1.05×bonus - 2×salary + 1000" {
-		t.Errorf("Equation = %q", eq)
-	}
-	m2 := &Model{Coef: []float64{0}, Intercept: -5}
-	if got := m2.Equation([]string{"x"}); got != "-5" {
-		t.Errorf("constant equation = %q", got)
 	}
 }
 

@@ -115,7 +115,7 @@ type Config struct {
 // collapsed by the cache (keyed per shard).
 type Server struct {
 	hub   *store.Hub
-	cache *resultCache
+	cache *store.Cache[any] // engine results and timeline answers, entry-bounded
 	mux   *http.ServeMux
 	cfg   Config
 
@@ -200,7 +200,7 @@ func NewHubServer(h *store.Hub, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		hub:    h,
-		cache:  newResultCache(cfg.CacheSize),
+		cache:  store.NewCache[any](cfg.CacheSize, nil, nil),
 		cfg:    cfg,
 		reqLog: newRequestLogger(cfg.RequestLog),
 		live:   newLiveRegistry(),
@@ -380,7 +380,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) BeginDrain() { s.drain() }
 
 // Stats snapshots the summarize cache counters.
-func (s *Server) Stats() Stats { return s.cache.Stats() }
+func (s *Server) Stats() Stats { return Stats(s.cache.Stats()) }
 
 // ShardServingStats is one shard's serve-layer request counters.
 // Requests counts every request attributed to the shard — served, shed
@@ -440,12 +440,19 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers v with code, indented two spaces a level and ending in
+// a newline. It marshals before it writes anything, so a value JSON cannot
+// carry (a NaN in a summary) answers through writeError, never as a status
+// line with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // statusClientClosedRequest is the (nginx-conventional) status logged when
@@ -792,7 +799,7 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	hs := s.hub.Stats()
-	resp := statsResponse{Stats: s.cache.Stats(), Serving: s.ServingStats(), Hub: &hs}
+	resp := statsResponse{Stats: s.Stats(), Serving: s.ServingStats(), Hub: &hs}
 	for _, sh := range hs.Shards {
 		if sh.Tenant == s.cfg.DefaultTenant && sh.Dataset == s.cfg.DefaultDataset {
 			resp.Store = sh.Store

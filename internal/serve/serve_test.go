@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"charles/internal/csvio"
 	"charles/internal/gen"
@@ -340,72 +340,20 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
-// TestCacheEviction checks the LRU bound holds and evictions are counted.
-func TestCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, hit, _ := c.Do(key, func() (any, error) { return i, nil }); hit {
-			t.Errorf("fresh key %s hit", key)
-		}
+// TestWriteJSONUnencodableIs500 pins that an answer JSON cannot carry (a
+// NaN) is a 500 with the JSON error envelope, not a 200 with an empty body.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"intercept": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
 	}
-	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 2 {
-		t.Errorf("stats = %+v, want 2 entries / 2 evictions", st)
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
 	}
-	// k3 is still resident, k0 was evicted.
-	if _, hit, _ := c.Do("k3", func() (any, error) { return nil, nil }); !hit {
-		t.Error("k3 should be resident")
-	}
-	if _, hit, _ := c.Do("k0", func() (any, error) { return 0, nil }); hit {
-		t.Error("k0 should have been evicted")
-	}
-}
-
-// TestCacheDoesNotCacheErrors checks a failed computation is retried.
-func TestCacheDoesNotCacheErrors(t *testing.T) {
-	c := newResultCache(2)
-	calls := 0
-	f := func() (any, error) {
-		calls++
-		if calls == 1 {
-			return nil, fmt.Errorf("transient")
-		}
-		return "ok", nil
-	}
-	if _, _, err := c.Do("k", f); err == nil {
-		t.Fatal("first call should fail")
-	}
-	v, hit, err := c.Do("k", f)
-	if err != nil || hit || v != "ok" {
-		t.Fatalf("retry = (%v, %v, %v)", v, hit, err)
-	}
-	if _, hit, _ := c.Do("k", f); !hit {
-		t.Error("successful value not cached")
-	}
-}
-
-// TestCachePanicDoesNotDeadlock checks a panicking computation releases
-// waiters and frees the key for a retry (net/http recovers handler panics,
-// so without cleanup the key would be bricked until restart).
-func TestCachePanicDoesNotDeadlock(t *testing.T) {
-	c := newResultCache(2)
-	func() {
-		defer func() { _ = recover() }()
-		_, _, _ = c.Do("k", func() (any, error) { panic("engine bug") })
-	}()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, hit, err := c.Do("k", func() (any, error) { return "ok", nil })
-		if err != nil || hit || v != "ok" {
-			t.Errorf("retry after panic = (%v, %v, %v)", v, hit, err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cache key deadlocked after panic")
+	var env errorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !strings.Contains(env.Error, "NaN") {
+		t.Errorf("body %q (%v), want the error envelope naming NaN", rec.Body.String(), err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive and correlation statistics behind
-// the ChARLES setup assistant: Pearson and Spearman correlation for numeric
-// attributes and the correlation ratio (η) for categorical→numeric
-// association. NaN inputs are skipped pairwise.
+// the ChARLES setup assistant: Pearson correlation for numeric attributes
+// and the correlation ratio (η) for categorical→numeric association. NaN
+// inputs are skipped pairwise.
 package stats
 
 import (
@@ -46,28 +46,6 @@ func Variance(xs []float64) float64 {
 // Std returns the population standard deviation.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the smallest and largest finite values (NaNs if none).
-func MinMax(xs []float64) (float64, float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	seen := false
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		seen = true
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if !seen {
-		return math.NaN(), math.NaN()
-	}
-	return lo, hi
-}
-
 // Pearson returns the Pearson correlation coefficient of the pairwise-finite
 // entries of x and y (0 when either side is constant or fewer than 2 pairs).
 func Pearson(x, y []float64) float64 {
@@ -103,28 +81,6 @@ func Pearson(x, y []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation (Pearson on ranks, with
-// average ranks for ties).
-func Spearman(x, y []float64) float64 {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	// Collect pairwise-finite entries.
-	var xs, ys []float64
-	for i := 0; i < n; i++ {
-		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
-			continue
-		}
-		xs = append(xs, x[i])
-		ys = append(ys, y[i])
-	}
-	if len(xs) < 2 {
-		return 0
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
 }
 
 // Ranks returns the average-rank transform of xs (1-based; ties share the
@@ -205,33 +161,4 @@ func CorrelationRatio(categories []string, values []float64) float64 {
 		return 0
 	}
 	return math.Sqrt(between / tot)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the finite values using
-// linear interpolation between order statistics.
-func Quantile(xs []float64, q float64) float64 {
-	var v []float64
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			v = append(v, x)
-		}
-	}
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(v)
-	if q <= 0 {
-		return v[0]
-	}
-	if q >= 1 {
-		return v[len(v)-1]
-	}
-	pos := q * float64(len(v)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return v[lo]
-	}
-	frac := pos - float64(lo)
-	return v[lo]*(1-frac) + v[hi]*frac
 }

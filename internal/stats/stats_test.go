@@ -35,17 +35,6 @@ func TestMeanSkipsNaN(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, math.NaN(), -1, 7})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Error("empty MinMax should be NaN, NaN")
-	}
-}
-
 func TestPearsonPerfectAndInverse(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}
@@ -98,18 +87,6 @@ func TestPearsonBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Any monotone transform has perfect rank correlation.
-	x := []float64{1, 2, 3, 4, 5, 6}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Exp(v) // nonlinear but monotone
-	}
-	if !almostEq(Spearman(x, y), 1, 1e-12) {
-		t.Errorf("monotone Spearman = %v", Spearman(x, y))
-	}
-}
-
 func TestRanksWithTies(t *testing.T) {
 	r := Ranks([]float64{10, 20, 20, 30})
 	want := []float64{1, 2.5, 2.5, 4}
@@ -145,25 +122,5 @@ func TestCorrelationRatioDegenerate(t *testing.T) {
 	}
 	if CorrelationRatio([]string{"a", "b"}, []float64{math.NaN(), math.NaN()}) != 0 {
 		t.Error("all-NaN should give 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
-		t.Error("extremes wrong")
-	}
-	if Quantile(xs, 0.5) != 3 {
-		t.Errorf("median = %v", Quantile(xs, 0.5))
-	}
-	if Quantile(xs, 0.25) != 2 {
-		t.Errorf("q25 = %v", Quantile(xs, 0.25))
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	// Interpolation.
-	if got := Quantile([]float64{0, 10}, 0.75); got != 7.5 {
-		t.Errorf("interpolated quantile = %v", got)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Budget is a shared byte-accounted memory budget for cache entries. Every
-// participating lruCache charges each admitted entry's estimated size into
+// participating Cache charges each admitted entry's estimated size into
 // the budget and registers an evict callback; the budget keeps one global
 // recency order across all of them, and when the cap is exceeded it evicts
 // the globally least-recently-used entries — whichever cache, whichever
@@ -138,9 +138,6 @@ func (b *Budget) Stats() BudgetStats {
 	defer b.mu.Unlock()
 	return BudgetStats{UsedBytes: b.used, CapBytes: b.capBytes, Entries: b.ll.Len(), Evictions: b.evictions}
 }
-
-// Used returns the currently charged byte total.
-func (b *Budget) Used() int64 { return b.Stats().UsedBytes }
 
 // The per-cache size estimators. Like table.MemBytes they are accounting
 // estimates: flat per-element overheads stand in for headers and allocator

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Used returns the currently charged byte total.
+func (b *Budget) Used() int64 { return b.Stats().UsedBytes }
+
 func TestBudgetAccounting(t *testing.T) {
 	b := NewBudget(100)
 	var evicted []string
@@ -92,7 +95,7 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 
 func TestSizedLRUChargesAndReleases(t *testing.T) {
 	b := NewBudget(1000)
-	c := newSizedLRU(8, func(v []byte) int64 { return int64(len(v)) }, b)
+	c := NewCache(8, func(v []byte) int64 { return int64(len(v)) }, b)
 	c.add("x", make([]byte, 300))
 	c.add("y", make([]byte, 300))
 	if got := b.Used(); got != 600 {
@@ -104,7 +107,7 @@ func TestSizedLRUChargesAndReleases(t *testing.T) {
 		t.Fatalf("used after refresh = %d, want 400", got)
 	}
 	// Count-cap displacement releases the displaced entry's charge.
-	small := newSizedLRU(1, func(v []byte) int64 { return int64(len(v)) }, b)
+	small := NewCache(1, func(v []byte) int64 { return int64(len(v)) }, b)
 	small.add("p", make([]byte, 100))
 	small.add("q", make([]byte, 100))
 	if got := b.Used(); got != 500 {
@@ -122,8 +125,8 @@ func TestBudgetEvictsAcrossCaches(t *testing.T) {
 	// first cache's entries — the global, cross-cache recency order that
 	// gives a hub's shards one collective ceiling.
 	b := NewBudget(500)
-	c1 := newSizedLRU(16, func(v []byte) int64 { return int64(len(v)) }, b)
-	c2 := newSizedLRU(16, func(v []byte) int64 { return int64(len(v)) }, b)
+	c1 := NewCache(16, func(v []byte) int64 { return int64(len(v)) }, b)
+	c2 := NewCache(16, func(v []byte) int64 { return int64(len(v)) }, b)
 	for i := 0; i < 4; i++ {
 		c1.add(fmt.Sprintf("a%d", i), make([]byte, 100))
 	}
@@ -133,14 +136,14 @@ func TestBudgetEvictsAcrossCaches(t *testing.T) {
 	if got := b.Used(); got > 500 {
 		t.Fatalf("used = %d > cap 500", got)
 	}
-	if _, ok := c1.get("a0"); ok {
+	if _, ok := c1.peek("a0"); ok {
 		t.Error("globally coldest entry a0 survived cross-cache eviction")
 	}
-	if _, ok := c2.get("b3"); !ok {
+	if _, ok := c2.peek("b3"); !ok {
 		t.Error("hottest entry b3 was evicted")
 	}
-	_, _, entries1, _ := c1.stats()
-	_, _, entries2, _ := c2.stats()
+	entries1 := c1.Stats().Entries
+	entries2 := c2.Stats().Entries
 	if entries1+entries2 != b.Stats().Entries {
 		t.Errorf("cache entries %d+%d != budget entries %d", entries1, entries2, b.Stats().Entries)
 	}
@@ -148,14 +151,14 @@ func TestBudgetEvictsAcrossCaches(t *testing.T) {
 
 func TestDisabledCacheRefusesAdds(t *testing.T) {
 	b := NewBudget(1000)
-	c := newSizedLRU(8, func(v []byte) int64 { return int64(len(v)) }, b)
+	c := NewCache(8, func(v []byte) int64 { return int64(len(v)) }, b)
 	c.add("x", make([]byte, 100))
 	c.disable()
 	if got := b.Used(); got != 0 {
 		t.Fatalf("used after disable = %d, want 0", got)
 	}
 	c.add("y", make([]byte, 100)) // racing late add: must stay uncharged
-	if _, ok := c.get("y"); ok {
+	if _, ok := c.peek("y"); ok {
 		t.Error("disabled cache accepted an add")
 	}
 	if got := b.Used(); got != 0 {

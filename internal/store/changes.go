@@ -22,9 +22,12 @@ func (s *Store) changeSetFor(id string) (*ChangeSet, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	if cs, ok := s.changes.get(id); ok {
-		return cs, nil
-	}
+	cs, _, err := s.changes.Do(id, func() (*ChangeSet, error) { return s.decodeChangeSet(id) })
+	return cs, err
+}
+
+// decodeChangeSet reads and decodes id's delta pack (a change-set LRU fill).
+func (s *Store) decodeChangeSet(id string) (*ChangeSet, error) {
 	var (
 		vok, pok bool
 		pi       *packInfo
@@ -46,7 +49,6 @@ func (s *Store) changeSetFor(id string) (*ChangeSet, error) {
 	cs := &ChangeSet{Version: id}
 	if pi.Kind != packDelta {
 		cs.Materialized = true
-		s.changes.add(id, cs)
 		return cs, nil
 	}
 	cs.Base = pi.Base
@@ -85,7 +87,6 @@ func (s *Store) changeSetFor(id string) (*ChangeSet, error) {
 			cs.Patched = append(cs.Patched, diff.RowPatch{Key: op.key, Cols: op.cols, Vals: op.vals})
 		}
 	}
-	s.changes.add(id, cs)
 	return cs, nil
 }
 
@@ -105,21 +106,30 @@ func (s *Store) Changes(id string) (*ChangeSet, error) {
 		return cs, nil
 	}
 	// Resolve the canonical header once: from the base's decoded table when
-	// it happens to be resident, else from its (cached, hash-verified) blob.
-	// The table probe is a peek: a miss fills nothing, so it is not counted
-	// as a table-cache request. The column-enriched set replaces the cache
-	// entry — cached instances are immutable, so later calls are O(1) and
+	// it happens to be resident, else from the blob of the base's chain
+	// anchor (cached, hash-verified). A delta pack only ever joins versions
+	// of one schema and applyDelta carries the header forward, so every
+	// version on the chain has the anchor's header, and the anchor's blob is
+	// one full pack where the base's own may be a rebuild of many. The table
+	// probe is a peek: a miss fills nothing, so it is not counted as a
+	// table-cache request. The column-enriched set replaces the cache entry
+	// — cached instances are immutable, so later calls are O(1) and
 	// concurrent readers of the bare instance are unaffected.
 	var header []string
 	if t, ok := s.tables.peek(cs.Base); ok {
 		header = t.Schema().Names()
 	} else {
-		blob, err := s.blobFor(cs.Base)
+		_, chain, err := s.plan(cs.Base)
+		if err != nil {
+			return nil, err
+		}
+		anchor := chain[len(chain)-1].id
+		blob, err := s.blobFor(anchor)
 		if err != nil {
 			return nil, err
 		}
 		if header, err = csvio.NewRowReader(bytes.NewReader(blob)).Header(); err != nil {
-			return nil, fmt.Errorf("%w: version %s: base header: %v", ErrCorruptStore, cs.Base, err)
+			return nil, fmt.Errorf("%w: version %s: anchor header: %v", ErrCorruptStore, anchor, err)
 		}
 	}
 	out := *cs // shallow copy: never mutate the cached instance
@@ -172,25 +182,29 @@ func (s *Store) DiffResult(fromID, toID string, tol float64) (res *diff.Result, 
 	if _, err := s.Get(toID); err != nil {
 		return nil, false, err
 	}
-	cacheKey := fmt.Sprintf("%s|%s|%g", fromID, toID, tol)
-	if ans, ok := s.results.get(cacheKey); ok {
-		return ans.res, ans.native, nil
+	ans, _, err := s.results.Do(fmt.Sprintf("%s|%s|%g", fromID, toID, tol), func() (*diffAnswer, error) {
+		return s.answerDiff(fromID, toID, tol)
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	defer func() {
-		if err == nil {
-			s.results.add(cacheKey, &diffAnswer{res: res, native: deltaNative})
-		}
-	}()
+	return ans.res, ans.native, nil
+}
+
+// answerDiff computes one change query for DiffResult (a diff-answer LRU
+// fill).
+func (s *Store) answerDiff(fromID, toID string, tol float64) (*diffAnswer, error) {
 	if hops, ok := s.deltaPath(fromID, toID); ok {
 		sets := make([]*ChangeSet, len(hops))
 		for i, id := range hops {
+			var err error
 			if sets[i], err = s.changeSetFor(id); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 		parent, err := s.tableFor(fromID)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if res, rerr := diff.ResultFromChangeSets(parent, sets, tol); rerr == nil {
 			// Trust the ops only once toID's reconstruction has been
@@ -201,9 +215,9 @@ func (s *Store) DiffResult(fromID, toID string, tol float64) (res *diff.Result, 
 			// this a cache hit on warm stores and a one-time (parse-free)
 			// check on cold ones.
 			if _, verr := s.blobFor(toID); verr != nil {
-				return nil, false, verr
+				return nil, verr
 			}
-			return res, true, nil
+			return &diffAnswer{res: res, native: true}, nil
 		}
 		// Not answerable from deltas (non-canonical cells, compose
 		// anomaly): the align path below re-derives the answer from the
@@ -211,12 +225,15 @@ func (s *Store) DiffResult(fromID, toID string, tol float64) (res *diff.Result, 
 	}
 	src, err := s.tableFor(fromID)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	tgt, err := s.tableFor(toID)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	res, err = diff.ResultFromPair(src, tgt, tol)
-	return res, false, err
+	res, err := diff.ResultFromPair(src, tgt, tol)
+	if err != nil {
+		return nil, err
+	}
+	return &diffAnswer{res: res}, nil
 }

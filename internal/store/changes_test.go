@@ -534,3 +534,38 @@ func TestChangesHeaderProbeIsNotACacheMiss(t *testing.T) {
 		t.Errorf("table-cache misses = %d, parses = %d; want equal", st.Tables.Misses, st.Parses)
 	}
 }
+
+// TestColdChangesReadsDeltaAndAnchor pins where a cold Changes takes its
+// header from: the base's chain anchor, not a rebuild of the base. On a
+// freshly opened store, Changes of a chain's 8th version reads two pack
+// files — its own delta and the anchor — and its columns are the header.
+func TestColdChangesReadsDeltaAndAnchor(t *testing.T) {
+	snaps, err := gen.Chain(gen.ChainConfig{N: 120, Steps: 7, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitChain(t, s, snaps)
+	if st := s.Stats(); st.FullPacks != 1 || st.DeltaPacks != 7 {
+		t.Fatalf("packs = %d full / %d delta, want 1 / 7", st.FullPacks, st.DeltaPacks)
+	}
+	fsys := &packReadFS{}
+	cold, err := OpenWith(dir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := cold.Changes(ids[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := snaps[0].Schema().Names(); !reflect.DeepEqual(cs.Columns, want) {
+		t.Errorf("columns = %v, want %v", cs.Columns, want)
+	}
+	if got := fsys.reads.Load(); got != 2 {
+		t.Errorf("cold Changes read %d pack files, want 2 (its delta and the anchor)", got)
+	}
+}

@@ -2,22 +2,27 @@ package store
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 )
 
-// lruCache is a size-bounded cache keyed by version id, shared by the
-// decoded-table cache behind Checkout and the reconstructed-blob cache
-// behind Blob. Cached values are the cache's own: table callers clone on
-// the way out (so a hit can never hand two callers aliased mutable
-// buffers), blob callers treat the bytes as immutable. The zero capacity
-// is normalized to 1.
+// Cache is the program's one LRU: a size-bounded cache keyed by string
+// whose misses are filled through Do, once per key however many callers
+// ask at the same time. The store keeps four — decoded tables behind
+// Checkout, reconstructed blobs behind Blob, decoded change sets behind
+// Changes, diff answers behind DiffResult — and the server one, of engine
+// results. Cached values are the cache's own: table callers clone on the
+// way out (so a hit can never hand two callers aliased mutable buffers),
+// every other caller treats the value as immutable. The zero capacity is
+// normalized to 1.
 //
 // A cache may additionally participate in a shared Budget: each admitted
 // entry is charged its sizeOf estimate into the budget, which keeps one
 // recency order across every participating cache and calls back (via
 // dropElem) to evict the globally coldest entries when the byte cap is
 // exceeded. The entry-count capacity and the byte budget both apply.
-type lruCache[V any] struct {
+type Cache[V any] struct {
 	cap    int
 	sizeOf func(V) int64 // nil = entries are not byte-accounted
 	budget *Budget       // nil = no shared budget
@@ -25,9 +30,10 @@ type lruCache[V any] struct {
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
+	calls map[string]*call[V] // fills in flight
 
-	disabled     bool // set by disable(): add becomes a no-op (Store.Close)
-	hits, misses int64
+	disabled                            bool // set by disable(): add becomes a no-op (Store.Close)
+	hits, misses, executions, evictions int64
 }
 
 type lruEntry[V any] struct {
@@ -36,49 +42,95 @@ type lruEntry[V any] struct {
 	bh  *list.Element // budget handle (nil until charged, or uncharged)
 }
 
-// newSizedLRU creates a cache whose entries are byte-accounted by sizeOf
-// into the shared budget (both may be nil for a plain count-bounded cache).
-func newSizedLRU[V any](capacity int, sizeOf func(V) int64, budget *Budget) *lruCache[V] {
+// call is one fill in flight: its waiters block on done, then read val and
+// err.
+type call[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// errPanicked is what waiters of a fill that panicked observe.
+var errPanicked = errors.New("cache: computation panicked")
+
+// NewCache creates a cache of at most capacity entries, each charged its
+// sizeOf estimate into budget (both may be nil for a plain count-bounded
+// cache).
+func NewCache[V any](capacity int, sizeOf func(V) int64, budget *Budget) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache[V]{
+	return &Cache[V]{
 		cap: capacity, sizeOf: sizeOf, budget: budget,
-		ll: list.New(), items: map[string]*list.Element{},
+		ll: list.New(), items: map[string]*list.Element{}, calls: map[string]*call[V]{},
 	}
 }
 
-// get returns the cached value for id (the cache's instance — see the type
-// comment for the ownership contract) and whether it was present.
-func (c *lruCache[V]) get(id string) (V, bool) {
-	var (
-		val V
-		ok  bool
-		bh  *list.Element
-	)
-	func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		el, found := c.items[id]
-		if !found {
-			c.misses++
-			return
-		}
+// Do returns the cached value for key, or computes it once — no matter how
+// many goroutines ask concurrently. hit reports whether the value came from
+// the cache without waiting on any computation; a caller that joined a fill
+// in flight counts as a miss. Errors reach every waiter but are never
+// cached, so a transient failure does not poison the key. No compute may
+// call Do on its own cache for its own key: it would wait on itself.
+//
+// Every caller passes its own compute, which checks its own request's
+// context before working. So when the computation a waiter joined fails
+// with a context error, the computing request gave up, not the
+// computation: the waiter retries with its own compute, which either
+// finishes the work or, if the waiter's context has ended too, fails at
+// once with the waiter's own error.
+func (c *Cache[V]) Do(key string, compute func() (V, error)) (val V, hit bool, err error) {
+	// Singleflight cannot defer-scope this lock: it must be released before
+	// blocking on an in-flight call (or running compute), and every exit path
+	// below unlocks explicitly first.
+	c.mu.Lock() //lint:allow lockhygiene singleflight unlocks before blocking on the in-flight call
+	if el, ok := c.items[key]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
 		ent := el.Value.(*lruEntry[V])
-		val, ok, bh = ent.val, true, ent.bh
-	}()
-	if ok {
+		v, bh := ent.val, ent.bh
+		c.mu.Unlock()
 		c.budget.touch(bh)
+		return v, true, nil
 	}
-	return val, ok
+	c.misses++
+	if cl, ok := c.calls[key]; ok {
+		c.mu.Unlock()
+		<-cl.done
+		if errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded) {
+			return c.Do(key, compute)
+		}
+		return cl.val, false, cl.err
+	}
+	cl := &call[V]{done: make(chan struct{}), err: errPanicked} // err is overwritten unless compute panics
+	c.calls[key] = cl
+	c.executions++
+	c.mu.Unlock()
+
+	// The deferred cleanup runs even if compute panics (net/http recovers
+	// handler panics): waiters are released with errPanicked and the key is
+	// freed for the next attempt, instead of deadlocking forever. The value
+	// is cached before the call is forgotten, so a caller arriving in
+	// between hits instead of computing again.
+	defer func() {
+		if cl.err == nil {
+			c.add(key, cl.val)
+		}
+		func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			delete(c.calls, key)
+		}()
+		close(cl.done)
+	}()
+	cl.val, cl.err = compute()
+	return cl.val, false, cl.err
 }
 
-// peek returns the cached value for id like get, but leaves its recency and
-// the hit/miss counters alone: a probe that fills nothing on a miss is not a
-// cache request.
-func (c *lruCache[V]) peek(id string) (V, bool) {
+// peek returns the cached value for id, leaving its recency and the
+// counters alone: a probe that fills nothing on a miss is not a cache
+// request.
+func (c *Cache[V]) peek(id string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[id]; ok {
@@ -94,7 +146,7 @@ func (c *lruCache[V]) peek(id string) (V, bool) {
 // afterwards. A value bigger than the entire budget is returned to the
 // caller's use but not cached at all — caching it could never respect the
 // byte cap.
-func (c *lruCache[V]) add(id string, v V) {
+func (c *Cache[V]) add(id string, v V) {
 	var size int64
 	if c.sizeOf != nil {
 		size = c.sizeOf(v)
@@ -130,6 +182,7 @@ func (c *lruCache[V]) add(id string, v V) {
 			ent := last.Value.(*lruEntry[V])
 			delete(c.items, ent.id)
 			released = append(released, ent.bh)
+			c.evictions++
 		}
 	}()
 	for _, bh := range released {
@@ -165,7 +218,7 @@ func (c *lruCache[V]) add(id string, v V) {
 // dropElem removes one specific entry (identity-checked, so a re-added id
 // is untouched). It is the budget's evict callback and runs with no budget
 // lock held; the idempotent release covers the cache-initiated path.
-func (c *lruCache[V]) dropElem(id string, el *list.Element) {
+func (c *Cache[V]) dropElem(id string, el *list.Element) {
 	var bh *list.Element
 	func() {
 		c.mu.Lock()
@@ -184,7 +237,7 @@ func (c *lruCache[V]) dropElem(id string, el *list.Element) {
 // purge drops every entry (counters are kept) and releases their budget
 // charges. Repair uses it after rewriting the manifest, so no cache can
 // serve data for a version that was just quarantined.
-func (c *lruCache[V]) purge() {
+func (c *Cache[V]) purge() {
 	var released []*list.Element
 	func() {
 		c.mu.Lock()
@@ -201,9 +254,9 @@ func (c *lruCache[V]) purge() {
 }
 
 // disable purges the cache and makes every future add a no-op — the
-// Store.Close path: a racing in-flight read must not repopulate (and
-// re-charge) a cache whose store has been closed.
-func (c *lruCache[V]) disable() {
+// Store.Close path: a fill that finishes after Close must not repopulate
+// (and re-charge) a cache whose store has been closed.
+func (c *Cache[V]) disable() {
 	func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -212,9 +265,12 @@ func (c *lruCache[V]) disable() {
 	c.purge()
 }
 
-// stats snapshots the counters.
-func (c *lruCache[V]) stats() (hits, misses int64, entries, capacity int) {
+// Stats snapshots the counters.
+func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len(), c.cap
+	return CacheStats{
+		Hits: c.hits, Misses: c.misses, Executions: c.executions, Evictions: c.evictions,
+		Entries: c.ll.Len(), Capacity: c.cap,
+	}
 }

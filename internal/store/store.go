@@ -163,12 +163,12 @@ type Store struct {
 	mem      map[string][]byte // id -> encoded pack (memory-only stores)
 	order    []string          // ids in commit order
 
-	tables  *lruCache[*table.Table] // decoded-table LRU behind Checkout
-	blobs   *lruCache[[]byte]       // reconstructed-blob LRU behind Blob
-	changes *lruCache[*ChangeSet]   // decoded delta-op LRU behind Changes
-	results *lruCache[*diffAnswer]  // change-query LRU behind DiffResult
-	parses  atomic.Int64            // CSV parses performed (cache misses)
-	closed  atomic.Bool             // set by Close; guard() rejects further ops
+	tables  *Cache[*table.Table] // decoded-table LRU behind Checkout
+	blobs   *Cache[[]byte]       // reconstructed-blob LRU behind Blob
+	changes *Cache[*ChangeSet]   // decoded delta-op LRU behind Changes
+	results *Cache[*diffAnswer]  // change-query LRU behind DiffResult
+	parses  atomic.Int64         // CSV parses performed (table-cache fills)
+	closed  atomic.Bool          // set by Close; guard() rejects further ops
 
 	// feed is the commit-notification fan-out (subscribe.go), published to
 	// after Commit's exclusive section.
@@ -201,10 +201,10 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		fs:       opts.FS,
 		versions: map[string]*Version{},
 		packs:    map[string]*packInfo{},
-		tables:   newSizedLRU(opts.TableCache, tableBytes, opts.Budget),
-		blobs:    newSizedLRU(opts.TableCache, blobBytes, opts.Budget),
-		changes:  newSizedLRU(opts.TableCache, changeSetBytes, opts.Budget),
-		results:  newSizedLRU(opts.TableCache, diffAnswerBytes, opts.Budget),
+		tables:   NewCache(opts.TableCache, tableBytes, opts.Budget),
+		blobs:    NewCache(opts.TableCache, blobBytes, opts.Budget),
+		changes:  NewCache(opts.TableCache, changeSetBytes, opts.Budget),
+		results:  NewCache(opts.TableCache, diffAnswerBytes, opts.Budget),
 	}
 	if dir == "" {
 		s.mem = map[string][]byte{}
@@ -645,34 +645,33 @@ func (s *Store) plan(id string) (*Version, []packLink, error) {
 // when it was cached — so a root → head walk applies one delta per version.
 // The returned bytes are shared and immutable.
 func (s *Store) blobFor(id string) ([]byte, error) {
-	if blob, ok := s.blobs.get(id); ok {
-		return blob, nil
-	}
-	v, chain, err := s.plan(id)
-	if err != nil {
-		return nil, err
-	}
-	var base []byte
-	for i := 1; i < len(chain); i++ {
-		if b, ok := s.blobs.peek(chain[i].id); ok {
-			chain, base = chain[:i], b
-			break
+	blob, _, err := s.blobs.Do(id, func() ([]byte, error) {
+		v, chain, err := s.plan(id)
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Pack data is immutable once committed, so decoding runs off-lock.
-	blob, err := s.reconstruct(chain, base)
-	if err != nil {
-		return nil, err
-	}
-	// The version id IS the hash of the canonical blob, so re-hashing
-	// catches any decodable-but-wrong reconstruction (tampered pack body,
-	// codec regression) before the bytes are cached or served — not just
-	// the packs that fail to decode.
-	if got := contentID(blob, v.Key); got != id {
-		return nil, fmt.Errorf("%w: version %s: reconstructed blob hashes to %s", ErrCorruptStore, id, got)
-	}
-	s.blobs.add(id, blob)
-	return blob, nil
+		var base []byte
+		for i := 1; i < len(chain); i++ {
+			if b, ok := s.blobs.peek(chain[i].id); ok {
+				chain, base = chain[:i], b
+				break
+			}
+		}
+		// Pack data is immutable once committed, so decoding runs off-lock.
+		blob, err := s.reconstruct(chain, base)
+		if err != nil {
+			return nil, err
+		}
+		// The version id IS the hash of the canonical blob, so re-hashing
+		// catches any decodable-but-wrong reconstruction (tampered pack body,
+		// codec regression) before the bytes are cached or served — not just
+		// the packs that fail to decode.
+		if got := contentID(blob, v.Key); got != id {
+			return nil, fmt.Errorf("%w: version %s: reconstructed blob hashes to %s", ErrCorruptStore, id, got)
+		}
+		return blob, nil
+	})
+	return blob, err
 }
 
 // Blob returns the canonical CSV serialization stored under id,
@@ -686,30 +685,30 @@ func (s *Store) Blob(id string) ([]byte, error) {
 }
 
 // tableFor returns id's decoded table through the table LRU, parsing (and
-// caching) it on a miss. The returned table is the cache's shared instance:
-// callers must treat it as strictly read-only (Checkout clones it before
-// handing it out; the delta-native diff path reads it in place).
+// caching) it on a miss; concurrent misses on one id parse it once. The
+// returned table is the cache's shared instance: callers must treat it as
+// strictly read-only (Checkout clones it before handing it out; the
+// delta-native diff path reads it in place).
 func (s *Store) tableFor(id string) (*table.Table, error) {
-	if t, ok := s.tables.get(id); ok {
+	t, _, err := s.tables.Do(id, func() (*table.Table, error) {
+		v, err := s.Get(id)
+		if err != nil {
+			return nil, err
+		}
+		blob, err := s.blobFor(id)
+		if err != nil {
+			return nil, err
+		}
+		s.parses.Add(1)
+		t, err := csvio.Read(bytes.NewReader(blob), csvio.Options{Key: v.Key})
+		if err != nil {
+			// The blob already passed the content-hash check, so a parse
+			// failure means the stored data itself is bad, not the request.
+			return nil, fmt.Errorf("%w: version %s: %v", ErrCorruptStore, id, err)
+		}
 		return t, nil
-	}
-	v, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := s.blobFor(id)
-	if err != nil {
-		return nil, err
-	}
-	s.parses.Add(1)
-	t, err := csvio.Read(bytes.NewReader(blob), csvio.Options{Key: v.Key})
-	if err != nil {
-		// The blob already passed the content-hash check, so a parse
-		// failure means the stored data itself is bad, not the request.
-		return nil, fmt.Errorf("%w: version %s: %v", ErrCorruptStore, id, err)
-	}
-	s.tables.add(id, t)
-	return t, nil
+	})
+	return t, err
 }
 
 // Checkout reconstructs the table stored under id. Decoded tables are kept
@@ -826,13 +825,18 @@ func (s *Store) Summarize(fromID, toID string, opts core.Options) ([]core.Ranked
 	return core.SummarizeAligned(a, opts)
 }
 
-// CacheStats is one LRU's counters: requests served from the cache,
-// requests that had to fill, and the resident/capacity entry counts.
+// CacheStats is one Cache's counters: requests served from the cache,
+// requests that had to fill (or joined a fill in flight), and the
+// resident/capacity entry counts. Executions (fills run) and Evictions
+// (entries the entry cap displaced; a Budget counts its own) are not in the
+// store's /stats sections; the server reports both for its result cache.
 type CacheStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Entries  int   `json:"entries"`
-	Capacity int   `json:"capacity"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Executions int64 `json:"-"`
+	Evictions  int64 `json:"-"`
+	Entries    int   `json:"entries"`
+	Capacity   int   `json:"capacity"`
 }
 
 // Stats reports the storage and cache state: how many packs are full
@@ -851,7 +855,7 @@ type Stats struct {
 	Compression   float64    `json:"compression"` // LogicalBytes / PackBytes
 	CacheHits     int64      `json:"cacheHits"`
 	CacheMisses   int64      `json:"cacheMisses"`
-	Parses        int64      `json:"parses"` // CSV parses (each a cache miss filled)
+	Parses        int64      `json:"parses"` // CSV parses (each one table-cache computation)
 	CacheEntries  int        `json:"cacheEntries"`
 	CacheCapacity int        `json:"cacheCapacity"`
 	Tables        CacheStats `json:"tables"`
@@ -885,19 +889,14 @@ func (s *Store) Stats() Stats {
 		// not even valid JSON — in the /stats endpoint).
 		st.Compression = 1.0
 	}
-	st.Tables = cacheStatsOf(s.tables)
-	st.Blobs = cacheStatsOf(s.blobs)
-	st.Changes = cacheStatsOf(s.changes)
-	st.Results = cacheStatsOf(s.results)
+	st.Tables = s.tables.Stats()
+	st.Blobs = s.blobs.Stats()
+	st.Changes = s.changes.Stats()
+	st.Results = s.results.Stats()
 	st.CacheHits, st.CacheMisses = st.Tables.Hits, st.Tables.Misses
 	st.CacheEntries, st.CacheCapacity = st.Tables.Entries, st.Tables.Capacity
 	st.Parses = s.parses.Load()
 	return st
-}
-
-func cacheStatsOf[V any](c *lruCache[V]) CacheStats {
-	hits, misses, entries, capacity := c.stats()
-	return CacheStats{Hits: hits, Misses: misses, Entries: entries, Capacity: capacity}
 }
 
 // GCReport summarizes what GC reclaimed.

@@ -338,21 +338,6 @@ func (t *Table) Filter(mask []bool) (*Table, error) {
 	return t.Gather(rows), nil
 }
 
-// Project returns a new table containing only the named columns, in order.
-func (t *Table) Project(names ...string) (*Table, error) {
-	d := &Table{byName: map[string]int{}}
-	for i, n := range names {
-		c, err := t.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		d.schema = append(d.schema, Field{Name: n, Type: c.Type})
-		d.cols = append(d.cols, c.clone())
-		d.byName[n] = i
-	}
-	return d, nil
-}
-
 // SortByKey sorts rows by the encoded primary key (stable, lexicographic)
 // and returns the sorted copy. The receiver is unchanged.
 func (t *Table) SortByKey() (*Table, error) {
@@ -391,28 +376,6 @@ func (t *Table) Equal(o *Table) bool {
 		}
 	}
 	return true
-}
-
-// NumericColumns returns the names of all numeric (int/float) columns.
-func (t *Table) NumericColumns() []string {
-	var out []string
-	for _, f := range t.schema {
-		if f.Type.Numeric() {
-			out = append(out, f.Name)
-		}
-	}
-	return out
-}
-
-// CategoricalColumns returns the names of all string/bool columns.
-func (t *Table) CategoricalColumns() []string {
-	var out []string
-	for _, f := range t.schema {
-		if !f.Type.Numeric() {
-			out = append(out, f.Name)
-		}
-	}
-	return out
 }
 
 // String renders the table as a compact aligned-text grid (for debugging and

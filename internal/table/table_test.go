@@ -157,17 +157,6 @@ func TestFilterProjectGather(t *testing.T) {
 		t.Error("bad mask length accepted")
 	}
 
-	pt, err := tbl.Project("name", "score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.NumCols() != 2 || pt.Schema()[0].Name != "name" {
-		t.Errorf("project schema wrong: %v", pt.Schema())
-	}
-	if _, err := tbl.Project("ghost"); err == nil {
-		t.Error("projecting missing column accepted")
-	}
-
 	gt := tbl.Gather([]int{2, 0})
 	if gt.NumRows() != 2 {
 		t.Fatal("gather rows wrong")
@@ -216,18 +205,6 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	c := MustNew(Schema{{Name: "x", Type: Int}})
 	if a.Equal(c) {
 		t.Error("schema difference not detected")
-	}
-}
-
-func TestColumnClassification(t *testing.T) {
-	tbl := sampleTable(t)
-	num := tbl.NumericColumns()
-	if len(num) != 2 || num[0] != "id" || num[1] != "score" {
-		t.Errorf("numeric columns = %v", num)
-	}
-	cat := tbl.CategoricalColumns()
-	if len(cat) != 2 || cat[0] != "name" || cat[1] != "active" {
-		t.Errorf("categorical columns = %v", cat)
 	}
 }
 

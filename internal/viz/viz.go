@@ -76,15 +76,3 @@ func SummaryCard(rank int, s *model.Summary, bd *score.Breakdown) string {
 	}
 	return b.String()
 }
-
-// RankedList renders the top summaries as the demo's result list.
-func RankedList(items []struct {
-	Summary   *model.Summary
-	Breakdown *score.Breakdown
-}) string {
-	var b strings.Builder
-	for i, it := range items {
-		b.WriteString(SummaryCard(i+1, it.Summary, it.Breakdown))
-	}
-	return b.String()
-}
