@@ -24,12 +24,14 @@ package charles
 
 import (
 	"context"
+	"fmt"
 
 	"charles/internal/assist"
 	"charles/internal/core"
 	"charles/internal/diff"
 	"charles/internal/history"
 	"charles/internal/model"
+	"charles/internal/predicate"
 	"charles/internal/score"
 	"charles/internal/table"
 )
@@ -129,13 +131,26 @@ func SummarizeAligned(a *Aligned, opts Options) ([]Ranked, error) {
 }
 
 // Evaluate scores one summary against the actual evolved target values
-// (aligned to source row order) — the row-at-a-time reference path. The
-// engine itself scores candidates through score.Evaluator, a reusable
-// vectorized equivalent that produces identical breakdowns; this entry
-// point exists for callers scoring externally supplied summaries and for
-// differential testing.
+// (aligned to source row order) at accuracy weight alpha ∈ [0,1], exactly
+// as the engine scores its candidates: through a score.Evaluator, with
+// Score blended by Breakdown.Blend. It exists for callers scoring
+// externally supplied summaries, such as a hand-written policy or a
+// baseline. The row-at-a-time score.Evaluate is the reference both are
+// tested against.
 func Evaluate(s *Summary, src *Table, actual []float64, changed []bool, alpha float64, w Weights) (*Breakdown, error) {
-	return score.Evaluate(s, src, actual, changed, alpha, w)
+	if alpha < 0 || alpha > 1 {
+		return nil, fmt.Errorf("charles: alpha %g out of [0,1]", alpha)
+	}
+	ev, err := score.NewEvaluator(src, actual, changed, w, predicate.NewCache(src))
+	if err != nil {
+		return nil, err
+	}
+	bd, err := ev.Evaluate(s)
+	if err != nil {
+		return nil, err
+	}
+	bd.Score = bd.Blend(alpha)
+	return &bd, nil
 }
 
 // SuggestAttributes runs the setup assistant: it ranks candidate condition
@@ -146,11 +161,11 @@ func SuggestAttributes(src, tgt *Table, target string) (cond, tran []Suggestion,
 	if err != nil {
 		return nil, nil, err
 	}
-	cond, err = assist.SuggestCondition(a, target, 1e-9)
+	cond, err = assist.SuggestCondition(a, target, core.ChangeTol)
 	if err != nil {
 		return nil, nil, err
 	}
-	tran, err = assist.SuggestTransformation(a, target, 1e-9)
+	tran, err = assist.SuggestTransformation(a, target, core.ChangeTol)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,7 +179,7 @@ func Changes(src, tgt *Table, target string) ([]Change, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.Changes(target, 1e-9)
+	return a.Changes(target, core.ChangeTol)
 }
 
 // MultiResult holds the per-attribute output of SummarizeAll.

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"charles/internal/core"
+	"charles/internal/score"
 )
 
 // TestPublicAPIEndToEnd exercises the full public surface the way the
@@ -158,5 +161,46 @@ func TestCustomWeightsFlowThrough(t *testing.T) {
 	if ranked[0].Summary.Size() > 1 && def[0].Summary.Size() > 1 &&
 		ranked[0].Breakdown.Interpretability > def[0].Breakdown.Interpretability+1e-9 {
 		t.Error("size-heavy weights increased interpretability of a large summary")
+	}
+}
+
+// TestPublicEvaluate scores the toy's ground truth through the public
+// entry point: the breakdown equals the row-at-a-time reference blended at
+// α, and an α outside [0,1] is rejected.
+func TestPublicEvaluate(t *testing.T) {
+	src, tgt := ToyDataset()
+	a, err := Align(src, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, actual, err := a.Delta("bonus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed, err := a.ChangedMask("bonus", core.ChangeTol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alpha := range []float64{0, 0.5, 1} {
+		got, err := Evaluate(ToyTruth(), a.Source, actual, changed, alpha, DefaultWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := score.Evaluate(ToyTruth(), a.Source, actual, changed, DefaultWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Score = want.Blend(alpha)
+		if *got != *want {
+			t.Errorf("alpha %v: Evaluate %+v, reference %+v", alpha, *got, *want)
+		}
+		if got.Accuracy < 1-1e-9 {
+			t.Errorf("alpha %v: the ground truth scores accuracy %v", alpha, got.Accuracy)
+		}
+	}
+	for _, alpha := range []float64{-0.1, 1.5} {
+		if _, err := Evaluate(ToyTruth(), a.Source, actual, changed, alpha, DefaultWeights()); err == nil {
+			t.Errorf("alpha %v accepted", alpha)
+		}
 	}
 }

@@ -124,7 +124,7 @@ func TestCellListPerfectAccuracyPoorInterpretability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := score.Evaluate(s, a.Source, newVals, changed, 0.5, score.DefaultWeights())
+	bd, err := score.Evaluate(s, a.Source, newVals, changed, score.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBaselineOrderingOnPlantedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gbd, err := score.Evaluate(global, d.Src, newVals, changed, 0.5, w)
+	gbd, err := score.Evaluate(global, d.Src, newVals, changed, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestBaselineOrderingOnPlantedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbd, err := score.Evaluate(cells, d.Src, newVals, changed, 0.5, w)
+	cbd, err := score.Evaluate(cells, d.Src, newVals, changed, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbd, err := score.Evaluate(d.Truth, d.Src, newVals, changed, 0.5, w)
+	tbd, err := score.Evaluate(d.Truth, d.Src, newVals, changed, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBaselineOrderingOnPlantedPolicy(t *testing.T) {
 	if cbd.Accuracy < 1-1e-9 {
 		t.Errorf("cell list accuracy = %v", cbd.Accuracy)
 	}
-	if tbd.Score <= gbd.Score || tbd.Score <= cbd.Score {
-		t.Errorf("truth summary (%.3f) should beat global (%.3f) and cell list (%.3f)", tbd.Score, gbd.Score, cbd.Score)
+	if tbd.Blend(0.5) <= gbd.Blend(0.5) || tbd.Blend(0.5) <= cbd.Blend(0.5) {
+		t.Errorf("truth summary (%.3f) should beat global (%.3f) and cell list (%.3f)", tbd.Blend(0.5), gbd.Blend(0.5), cbd.Blend(0.5))
 	}
 }

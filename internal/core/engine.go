@@ -52,8 +52,7 @@ type engine struct {
 	condAttrs []string
 	tranAttrs []string
 
-	changedRows []int // rows with a changed, finite target
-	minLeaf     int
+	changedRows []int // the fittable rows (see fittable), ascending
 
 	// Shared per-run acceleration structures (immutable / internally
 	// synchronized, so workers use them concurrently):
@@ -71,15 +70,12 @@ func newEngine(a *diff.Aligned, opts Options, ctx *PairContext) (*engine, error)
 	if err != nil {
 		return nil, err
 	}
-	e.changed, err = a.ChangedMask(opts.Target, opts.ChangeTol)
+	e.changed, err = a.ChangedMask(opts.Target, ChangeTol)
 	if err != nil {
 		return nil, err
 	}
-	// A non-finite old or new value (NaN or ±Inf) cannot be clustered or
-	// fitted; such rows are left out exactly as scoring leaves them out.
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	for r, ch := range e.changed {
-		if ch && finite(e.oldVals[r]) && finite(e.newVals[r]) {
+	for r := range e.changed {
+		if e.fittable(r) {
 			e.changedRows = append(e.changedRows, r)
 		}
 	}
@@ -87,7 +83,7 @@ func newEngine(a *diff.Aligned, opts Options, ctx *PairContext) (*engine, error)
 	// Attribute pools: user-specified, else the setup assistant's shortlist.
 	e.condAttrs = opts.CondAttrs
 	if len(e.condAttrs) == 0 {
-		sugs, err := assist.SuggestCondition(a, opts.Target, opts.ChangeTol)
+		sugs, err := assist.SuggestCondition(a, opts.Target, ChangeTol)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +94,7 @@ func newEngine(a *diff.Aligned, opts Options, ctx *PairContext) (*engine, error)
 	}
 	e.tranAttrs = opts.TranAttrs
 	if len(e.tranAttrs) == 0 {
-		sugs, err := assist.SuggestTransformation(a, opts.Target, opts.ChangeTol)
+		sugs, err := assist.SuggestTransformation(a, opts.Target, ChangeTol)
 		if err != nil {
 			return nil, err
 		}
@@ -109,13 +105,6 @@ func newEngine(a *diff.Aligned, opts Options, ctx *PairContext) (*engine, error)
 	}
 	if err := assist.Validate(a.Source, e.tranAttrs, true); err != nil {
 		return nil, err
-	}
-
-	e.minLeaf = 1
-	if opts.MinLeafFrac > 0 {
-		if ml := int(opts.MinLeafFrac * float64(a.Source.NumRows())); ml > 1 {
-			e.minLeaf = ml
-		}
 	}
 
 	// Per-run acceleration: every distinct condition atom is materialized
@@ -150,56 +139,70 @@ func newEngine(a *diff.Aligned, opts Options, ctx *PairContext) (*engine, error)
 	return e, nil
 }
 
+// fittable reports whether row r's target changed and is finite on both
+// sides. Only such rows are clustered and fitted: a NaN or ±Inf old or new
+// value has no place on a regression line, and scoring leaves those rows
+// out too.
+func (e *engine) fittable(r int) bool {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	return e.changed[r] && finite(e.oldVals[r]) && finite(e.newVals[r])
+}
+
+// scored is one candidate summary with its α-free breakdown.
+type scored struct {
+	sum *model.Summary
+	bd  score.Breakdown
+}
+
 func (e *engine) run() ([]Ranked, error) {
 	if len(e.changedRows) == 0 {
-		// changedRows excludes rows whose target is NaN on either side (no
-		// model can be fitted through them), so distinguish two cases: with
-		// no changed cells at all, the truthful summary is the explicit
-		// "no change"; with changes that are all NaN transitions, claiming
-		// NoChange would contradict the diff layer (which reports them), so
-		// return an empty ranking — "changed, but nothing recoverable".
-		for _, ch := range e.changed {
-			if ch {
-				return []Ranked{}, nil
-			}
+		// changedRows excludes rows whose target is non-finite on either
+		// side (no model can be fitted through them), so distinguish two
+		// cases: with no changed cells at all, the truthful summary is the
+		// explicit "no change"; with changes that are all NaN transitions,
+		// claiming NoChange would contradict the diff layer (which reports
+		// them), so return an empty ranking — "changed, but nothing
+		// recoverable".
+		if slices.Contains(e.changed, true) {
+			return []Ranked{}, nil
 		}
 		s := &model.Summary{Target: e.opts.Target}
-		bd, err := score.Evaluate(s, e.a.Source, e.newVals, e.changed, e.opts.Alpha, e.opts.Weights)
+		ev, err := score.NewEvaluator(e.a.Source, e.newVals, e.changed, e.opts.Weights, e.pcache)
 		if err != nil {
 			return nil, err
 		}
-		return []Ranked{{Summary: s, Breakdown: bd, NoChange: true}}, nil
+		bd, err := ev.Evaluate(s)
+		if err != nil {
+			return nil, err
+		}
+		ranked := rank([][]scored{{{s, bd}}}, e.opts.Alpha, e.opts.TopK)
+		ranked[0].NoChange = true
+		return ranked, nil
 	}
 
-	condSubsets := subsets(e.condAttrs, e.opts.C)
+	condSubsets := subsetsOf(e.condAttrs, e.opts.C, func(s []string) string { return fmt.Sprint(s) })
 	tranSubsets := e.featureSubsets()
 
 	// Fan the transformation-feature subsets across workers; the engine is
 	// read-only during candidate generation. Each subset's candidates land
-	// in its own slot and are merged below in subset order, so the outcome
+	// in its own slot and are ranked below in subset order, so the outcome
 	// is independent of scheduling and of the worker count.
 	workers := e.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(tranSubsets) {
-		workers = len(tranSubsets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(tranSubsets)), 1)
 	// Each worker owns one Evaluator (scratch buffers are per-worker; the
 	// compiled-atom cache is shared across all of them).
 	evs := make([]*score.Evaluator, workers)
 	for w := range evs {
-		ev, err := score.NewEvaluator(e.a.Source, e.newVals, e.changed, e.opts.Alpha, e.opts.Weights)
+		ev, err := score.NewEvaluator(e.a.Source, e.newVals, e.changed, e.opts.Weights, e.pcache)
 		if err != nil {
 			return nil, err
 		}
-		ev.SetCache(e.pcache)
 		evs[w] = ev
 	}
-	units := make([][]Ranked, len(tranSubsets))
+	units := make([][]scored, len(tranSubsets))
 	errs := make([]error, len(tranSubsets))
 	jobs := make(chan int)
 	failed := make(chan struct{}) // closed on the first worker error: stop feeding
@@ -232,54 +235,70 @@ feed:
 			return nil, err
 		}
 	}
+	return rank(units, e.opts.Alpha, e.opts.TopK), nil
+}
 
-	// Candidates that share a fingerprint and a score tie; the first in
-	// (transformation subset, condition subset, k) order wins, which is the
-	// order a one-worker run visits them in.
-	best := map[string]Ranked{} // fingerprint -> best-scoring instance
+// rank is where α enters the engine. It blends each candidate's score at
+// alpha, keeps the best-scoring instance of each fingerprint, sorts, and
+// returns the top topK. Candidates that share a fingerprint share their
+// breakdown, so they tie; the first in (unit, position) order wins, which
+// for the engine's units is the (T, C, k) order a one-worker run visits
+// them in. The sort's tie-breaks make the order total. The units are only
+// read: the answer holds fresh breakdowns, and none of the dropped
+// candidates.
+func rank(units [][]scored, alpha float64, topK int) []Ranked {
+	type entry struct {
+		c     *scored
+		score float64
+		fp    string
+	}
+	var kept []entry
+	index := map[string]int{} // fingerprint -> its entry in kept
 	for _, unit := range units {
-		for _, r := range unit {
-			fp := r.Summary.Fingerprint()
-			if cur, ok := best[fp]; !ok || r.Breakdown.Score > cur.Breakdown.Score {
-				best[fp] = r
+		for i := range unit {
+			c := &unit[i]
+			en := entry{c, c.bd.Blend(alpha), c.sum.Fingerprint()}
+			if j, ok := index[en.fp]; !ok {
+				index[en.fp] = len(kept)
+				kept = append(kept, en)
+			} else if en.score > kept[j].score {
+				kept[j] = en
 			}
 		}
 	}
-
-	ranked := make([]Ranked, 0, len(best))
-	for _, r := range best {
-		ranked = append(ranked, r)
-	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Breakdown.Score != ranked[j].Breakdown.Score {
-			return ranked[i].Breakdown.Score > ranked[j].Breakdown.Score
+	sort.SliceStable(kept, func(i, j int) bool {
+		a, b := kept[i], kept[j]
+		if a.score != b.score {
+			return a.score > b.score
 		}
 		// Deterministic tie-breaks: more interpretable (matters at α = 1,
 		// where the blend ignores it), then smaller, then fingerprint.
-		if ranked[i].Breakdown.Interpretability != ranked[j].Breakdown.Interpretability {
-			return ranked[i].Breakdown.Interpretability > ranked[j].Breakdown.Interpretability
+		if a.c.bd.Interpretability != b.c.bd.Interpretability {
+			return a.c.bd.Interpretability > b.c.bd.Interpretability
 		}
-		if ranked[i].Summary.Size() != ranked[j].Summary.Size() {
-			return ranked[i].Summary.Size() < ranked[j].Summary.Size()
+		if a.c.sum.Size() != b.c.sum.Size() {
+			return a.c.sum.Size() < b.c.sum.Size()
 		}
-		return ranked[i].Summary.Fingerprint() < ranked[j].Summary.Fingerprint()
+		return a.fp < b.fp
 	})
-	if len(ranked) > e.opts.TopK {
-		// A slice of its own: truncating in place would keep every dropped
-		// candidate reachable through the backing array for as long as the
-		// answer lives (in the result cache, or in a maintained timeline).
-		ranked = slices.Clone(ranked[:e.opts.TopK])
+	kept = kept[:min(topK, len(kept))]
+	ranked := make([]Ranked, len(kept))
+	bds := make([]score.Breakdown, len(kept))
+	for i, en := range kept {
+		bds[i] = en.c.bd
+		bds[i].Score = en.score
+		ranked[i] = Ranked{Summary: en.c.sum, Breakdown: &bds[i]}
 	}
-	return ranked, nil
+	return ranked
 }
 
 // evalFeatureSet evaluates every (C, k) candidate for one transformation
-// feature subset and returns the scored summaries. Everything that does not
-// depend on the condition subset is hoisted: the usable rows, the global
-// fit, and the clustering signal are computed once per T, and the partition
-// labels once per (T, k) — the historical code re-derived all of it for
-// every condition subset.
-func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *score.Evaluator) ([]Ranked, error) {
+// feature subset and returns the summaries with their α-free breakdowns.
+// Everything that does not depend on the condition subset is hoisted: the
+// usable rows, the global fit, and the clustering signal are computed once
+// per T, and the partition labels once per (T, k) — the historical code
+// re-derived all of it for every condition subset.
+func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *score.Evaluator) ([]scored, error) {
 	fm, err := e.featureMatrix(T)
 	if err != nil {
 		return nil, err
@@ -301,7 +320,7 @@ func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *s
 	// emission order (C outer, k inner) matches the historical stream.
 	labelsByK := make([][]int, e.opts.KMax+1)
 
-	var out []Ranked
+	var out []scored
 	for _, C := range condSubsets {
 		for k := 1; k <= e.opts.KMax; k++ {
 			if k > len(rows) {
@@ -326,7 +345,7 @@ func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *s
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Ranked{Summary: sum, Breakdown: &bd})
+			out = append(out, scored{sum, bd})
 		}
 	}
 	return out, nil
@@ -419,31 +438,7 @@ func (e *engine) featureSubsets() [][]model.Feature {
 			}
 		}
 	}
-	maxSize := e.opts.T
-	if maxSize > len(pool) {
-		maxSize = len(pool)
-	}
-	var out [][]model.Feature
-	var rec func(start int, cur []model.Feature)
-	rec = func(start int, cur []model.Feature) {
-		if len(cur) > 0 && len(cur) <= maxSize {
-			out = append(out, append([]model.Feature(nil), cur...))
-		}
-		if len(cur) == maxSize {
-			return
-		}
-		for i := start; i < len(pool); i++ {
-			rec(i+1, append(cur, pool[i]))
-		}
-	}
-	rec(0, nil)
-	sort.SliceStable(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		return featNames(out[i]) < featNames(out[j])
-	})
-	return out
+	return subsetsOf(pool, e.opts.T, featNames)
 }
 
 func featNames(fs []model.Feature) string {
@@ -523,20 +518,10 @@ func (e *engine) candidate(C []string, T []model.Feature, k int, fm *featMat, la
 	// Tree depth: a decision list needs up to k splits to carve k+1 classes
 	// out of one categorical attribute (the paper's c bounds *attributes*
 	// per condition, not atoms; simplifyPredicate collapses the ≠-chains
-	// afterwards).
-	maxAtoms := e.opts.MaxCondAtoms
-	if maxAtoms <= 0 {
-		maxAtoms = len(C) + 1
-		if m := e.opts.KMax + 1; m > maxAtoms {
-			maxAtoms = m
-		}
-		if maxAtoms > 6 {
-			maxAtoms = 6
-		}
-	}
+	// afterwards). A leaf may hold a single row.
 	tree, err := dtree.Build(e.a.Source, C, labels, nil, dtree.Options{
-		MaxDepth: maxAtoms,
-		MinLeaf:  e.minLeaf,
+		MaxDepth: min(max(len(C)+1, e.opts.KMax+1), 6),
+		MinLeaf:  1,
 		Index:    e.dindex,
 	})
 	if err != nil {
@@ -561,7 +546,7 @@ func (e *engine) candidate(C []string, T []model.Feature, k int, fm *featMat, la
 		if ct == nil {
 			continue
 		}
-		if ct.Tran.NoChange && !e.opts.KeepNoChangeCTs {
+		if ct.Tran.NoChange {
 			continue // the None leaf stays implicit
 		}
 		sum.CTs = append(sum.CTs, *ct)
@@ -613,7 +598,7 @@ func (e *engine) fitPartition(pred predicate.Predicate, rows []int, T []model.Fe
 	}
 	var chRows []int
 	for _, r := range rows {
-		if e.changed[r] && fm.ok[r] {
+		if e.fittable(r) && fm.ok[r] {
 			chRows = append(chRows, r)
 		}
 	}
@@ -727,24 +712,22 @@ func tranAttrNames(T []model.Feature) []string {
 	return out
 }
 
-// subsets enumerates all non-empty subsets of attrs with size ≤ maxSize,
-// in deterministic order (by size, then lexicographic positions).
-func subsets(attrs []string, maxSize int) [][]string {
-	var out [][]string
-	n := len(attrs)
-	if maxSize > n {
-		maxSize = n
-	}
-	var rec func(start int, cur []string)
-	rec = func(start int, cur []string) {
-		if len(cur) > 0 && len(cur) <= maxSize {
-			out = append(out, append([]string(nil), cur...))
+// subsetsOf enumerates the non-empty subsets of pool with at most maxSize
+// elements, in deterministic order: by size, then by key (each caller's
+// printed form of a subset), ties keeping pool-position order.
+func subsetsOf[T any](pool []T, maxSize int, key func([]T) string) [][]T {
+	maxSize = min(maxSize, len(pool))
+	var out [][]T
+	var rec func(start int, cur []T)
+	rec = func(start int, cur []T) {
+		if len(cur) > 0 {
+			out = append(out, slices.Clone(cur))
 		}
 		if len(cur) == maxSize {
 			return
 		}
-		for i := start; i < n; i++ {
-			rec(i+1, append(cur, attrs[i]))
+		for i := start; i < len(pool); i++ {
+			rec(i+1, append(cur, pool[i]))
 		}
 	}
 	rec(0, nil)
@@ -752,7 +735,7 @@ func subsets(attrs []string, maxSize int) [][]string {
 		if len(out[i]) != len(out[j]) {
 			return len(out[i]) < len(out[j])
 		}
-		return fmt.Sprint(out[i]) < fmt.Sprint(out[j])
+		return key(out[i]) < key(out[j])
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"charles/internal/eval"
 	"charles/internal/gen"
 	"charles/internal/model"
+	"charles/internal/predicate"
+	"charles/internal/score"
 	"charles/internal/table"
 )
 
@@ -254,6 +257,9 @@ func TestCTsAreDisjointOnSource(t *testing.T) {
 }
 
 func TestSubsets(t *testing.T) {
+	subsets := func(attrs []string, maxSize int) [][]string {
+		return subsetsOf(attrs, maxSize, func(s []string) string { return fmt.Sprint(s) })
+	}
 	got := subsets([]string{"a", "b", "c"}, 2)
 	if len(got) != 6 {
 		t.Fatalf("subsets = %v", got)
@@ -269,6 +275,67 @@ func TestSubsets(t *testing.T) {
 	}
 	if subsets(nil, 2) != nil {
 		t.Error("empty attr pool should give no subsets")
+	}
+}
+
+// TestRankOrder pins rank, the one step where α enters the engine: per
+// fingerprint the first instance is kept, ties in Score order by
+// interpretability, then size, then fingerprint, and the answer holds its
+// own breakdowns, blended at α, while the candidates stay α-free.
+func TestRankOrder(t *testing.T) {
+	sum := func(vals ...string) *model.Summary {
+		s := &model.Summary{Target: "pay"}
+		for _, v := range vals {
+			s.CTs = append(s.CTs, model.CT{
+				Cond: predicate.Predicate{Atoms: []predicate.Atom{predicate.StrAtom("g", predicate.Eq, v)}},
+				Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{2}},
+			})
+		}
+		return s
+	}
+	bd := func(acc, interp float64) score.Breakdown {
+		return score.Breakdown{Accuracy: acc, Interpretability: interp}
+	}
+	// Dyadic components, so the blends at α = 0.5 tie exactly.
+	a, a2, b, c, d, e := sum("a"), sum("a"), sum("b"), sum("c", "x"), sum("d"), sum("e")
+	units := [][]scored{
+		{{a, bd(0.75, 0.25)}, {c, bd(0.625, 0.375)}, {b, bd(0.5, 0.5)}},
+		{{a2, bd(0.75, 0.25)}, {d, bd(0.625, 0.375)}, {e, bd(0.5, 0.5)}},
+	}
+	be := []*model.Summary{b, e}
+	if e.Fingerprint() < b.Fingerprint() {
+		be = []*model.Summary{e, b}
+	}
+	for _, tc := range []struct {
+		alpha float64
+		want  []*model.Summary
+	}{
+		{0, []*model.Summary{be[0], be[1], d, c, a}},
+		{0.5, []*model.Summary{be[0], be[1], d, c, a}},
+		{1, []*model.Summary{a, d, c, be[0], be[1]}},
+	} {
+		for _, topK := range []int{1, 3, 10} {
+			got := rank(units, tc.alpha, topK)
+			want := tc.want[:min(topK, len(tc.want))]
+			if len(got) != len(want) {
+				t.Fatalf("alpha %v topK %d: %d summaries, want %d", tc.alpha, topK, len(got), len(want))
+			}
+			for i, r := range got {
+				if r.Summary != want[i] {
+					t.Errorf("alpha %v topK %d: #%d is %s, want %s", tc.alpha, topK, i, r.Summary, want[i])
+				}
+				if w := r.Breakdown.Blend(tc.alpha); r.Score() != w {
+					t.Errorf("alpha %v topK %d: #%d scores %v, want %v", tc.alpha, topK, i, r.Score(), w)
+				}
+			}
+		}
+	}
+	for _, unit := range units {
+		for _, c := range unit {
+			if c.bd.Score != 0 {
+				t.Fatalf("rank wrote Score %v into a candidate", c.bd.Score)
+			}
+		}
 	}
 }
 

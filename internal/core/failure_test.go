@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"charles/internal/diff"
 	"charles/internal/eval"
 	"charles/internal/gen"
 	"charles/internal/table"
@@ -241,5 +242,82 @@ func TestPlantedRecoveryProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(77))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNullTransitionsFitFiniteCTs runs every changed numeric target of
+// projected gen.MutateChain lineages, whose steps move cells to and from
+// null. A row whose target is null on either side has nothing to fit, so
+// every ranked CT must have finite coefficients, intercept and MAE: one
+// NaN row in a partition's fit would make its intercept and MAE NaN, and
+// the scorer, which skips NaN predictions, would rate that CT accurate.
+func TestNullTransitionsFitFiniteCTs(t *testing.T) {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	var answers, nullTransitions int
+	for seed := int64(1); seed <= 12; seed++ {
+		snaps, err := gen.MutateChain(gen.FuzzConfig{N: 20, Steps: 6, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Project onto the ids every version shares: a step needs a fixed
+		// entity set.
+		shared := map[string]int{}
+		for _, snap := range snaps {
+			for r := 0; r < snap.NumRows(); r++ {
+				shared[snap.MustColumn("id").Value(r).String()]++
+			}
+		}
+		for i, snap := range snaps {
+			keep := make([]bool, snap.NumRows())
+			for r := range keep {
+				keep[r] = shared[snap.MustColumn("id").Value(r).String()] == len(snaps)
+			}
+			if snaps[i], err = snap.Filter(keep); err != nil {
+				t.Fatal(err)
+			}
+			if err := snaps[i].SetKey("id"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i+1 < len(snaps); i++ {
+			a, err := diff.Align(snaps[i], snaps[i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := SummarizeAll(snaps[i], snaps[i+1], DefaultOptions(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, attr := range res.Attrs {
+				oldVals, newVals, err := a.Delta(attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				changed, err := a.ChangedMask(attr, ChangeTol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, ch := range changed {
+					if ch && (!finite(oldVals[r]) || !finite(newVals[r])) {
+						nullTransitions++
+					}
+				}
+				answers++
+				for rank, r := range res.ByAttr[attr] {
+					for _, ct := range r.Summary.CTs {
+						ok := finite(ct.Tran.Intercept) && finite(ct.MAE)
+						for _, c := range ct.Tran.Coef {
+							ok = ok && finite(c)
+						}
+						if !ok {
+							t.Errorf("seed %d, step %d, %s: #%d ranks a non-finite CT %s (MAE %v)", seed, i, attr, rank+1, ct, ct.MAE)
+						}
+					}
+				}
+			}
+		}
+	}
+	if answers == 0 || nullTransitions == 0 {
+		t.Fatalf("%d answers over %d null transitions: the lineages no longer test the fit", answers, nullTransitions)
 	}
 }

@@ -13,9 +13,8 @@ type MultiResult struct {
 	ByAttr map[string][]Ranked
 	// Skipped lists changed attributes that could not be summarized
 	// (non-numeric), mapped to the reason. Change detection uses
-	// base.ChangeTol, with zero defaulting to 1e-9 — the same default
-	// DefaultOptions applies — so Skipped and Attrs together cover exactly
-	// the attributes a diff at that tolerance reports as changed.
+	// ChangeTol, as the engine does, so Skipped and Attrs together cover
+	// exactly the attributes a diff at that tolerance reports as changed.
 	Skipped map[string]string
 }
 
@@ -44,11 +43,7 @@ func SummarizeAll(src, tgt *table.Table, base Options) (*MultiResult, error) {
 // timeline layer passes a memoized run that builds the pair's context only
 // when some target is not remembered.
 func SummarizeAllWith(a *diff.Aligned, base Options, run func(Options) ([]Ranked, error)) (*MultiResult, error) {
-	tol := base.ChangeTol
-	if tol == 0 {
-		tol = 1e-9
-	}
-	changed, err := a.ChangedAttrs(tol)
+	changed, err := a.ChangedAttrs(ChangeTol)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,19 @@ import (
 	"charles/internal/table"
 )
 
+// ChangeTol is the absolute tolerance within which a numeric cell counts
+// as unchanged between two snapshots: the engine, SummarizeAll and the
+// timeline layer all detect change with it.
+const ChangeTol = 1e-9
+
 // Options configure a Summarize run. The zero value is not valid; use
 // DefaultOptions and override fields.
+//
+// Some of the engine's shape is fixed rather than configured: change is
+// detected at ChangeTol, an induced partition may hold a single row, a
+// condition tree is at most min(max(|C|+1, KMax+1), 6) splits deep, and
+// partitions that did not change stay implicit (the paper's None leaf)
+// rather than appearing as "no change" CTs.
 type Options struct {
 	// Target is the numeric attribute whose evolution is summarized.
 	Target string
@@ -38,7 +49,8 @@ type Options struct {
 	// tried per attribute-subset pair.
 	KMax int
 
-	// Alpha weighs accuracy against interpretability in Score(S).
+	// Alpha weighs accuracy against interpretability in Score(S). It is
+	// read only when the α-free candidates are ranked, after the search.
 	Alpha float64
 
 	// TopK is the number of ranked summaries to return (paper default 10).
@@ -50,19 +62,6 @@ type Options struct {
 	// SnapTolerance is the relative accuracy loss allowed when rounding
 	// fitted constants to "normal" values (0 disables snapping).
 	SnapTolerance float64
-
-	// ChangeTol is the absolute numeric tolerance used to decide whether a
-	// cell changed between the snapshots.
-	ChangeTol float64
-
-	// MinLeafFrac is the minimum fraction of rows a partition must hold
-	// (protects against overly specific conditions; paper's coverage
-	// preference). 0 means a single row suffices.
-	MinLeafFrac float64
-
-	// MaxCondAtoms bounds the depth of induced condition predicates. 0
-	// derives it from the condition-subset size.
-	MaxCondAtoms int
 
 	// Robust enables MAD-trimmed per-partition fitting, which keeps a few
 	// off-policy edits (manual corrections, data-entry errors) from
@@ -87,11 +86,6 @@ type Options struct {
 	// without refinement, transformations that differ in slope over a wide
 	// feature range are frequently conflated).
 	NoRefine bool
-
-	// KeepNoChangeCTs retains explicit "no change" CTs in summaries instead
-	// of leaving unchanged partitions implicit (the default, matching the
-	// paper's None leaf).
-	KeepNoChangeCTs bool
 
 	// Workers bounds the goroutines evaluating candidate (C, T, k)
 	// combinations; 0 uses GOMAXPROCS. The search is embarrassingly
@@ -118,7 +112,6 @@ func DefaultOptions(target string) Options {
 		TopK:          10,
 		Weights:       score.DefaultWeights(),
 		SnapTolerance: 0.02,
-		ChangeTol:     1e-9,
 		Robust:        true,
 	}
 }
@@ -141,10 +134,8 @@ func (o Options) Fingerprint() string {
 	fmt.Fprintf(&b, "|w=%.12g,%.12g,%.12g,%.12g,%.12g",
 		o.Weights.Size, o.Weights.CondSimplicity, o.Weights.TranSimplicity,
 		o.Weights.Coverage, o.Weights.Normality)
-	fmt.Fprintf(&b, "|snap=%.12g|tol=%.12g|minleaf=%.12g|maxatoms=%d",
-		o.SnapTolerance, o.ChangeTol, o.MinLeafFrac, o.MaxCondAtoms)
-	fmt.Fprintf(&b, "|robust=%t|nonlinear=%t|strategy=%d|norefine=%t|keepnochange=%t",
-		o.Robust, o.Nonlinear, int(o.Strategy), o.NoRefine, o.KeepNoChangeCTs)
+	fmt.Fprintf(&b, "|snap=%.12g|robust=%t|nonlinear=%t|strategy=%d|norefine=%t",
+		o.SnapTolerance, o.Robust, o.Nonlinear, int(o.Strategy), o.NoRefine)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:8])
 }

@@ -15,24 +15,20 @@ func TestOptionsFingerprint(t *testing.T) {
 	}
 	// Every result-affecting knob must move the fingerprint.
 	muts := map[string]func(*Options){
-		"target":       func(o *Options) { o.Target = "pay" },
-		"cond attrs":   func(o *Options) { o.CondAttrs = []string{"edu"} },
-		"tran attrs":   func(o *Options) { o.TranAttrs = []string{"pay"} },
-		"c":            func(o *Options) { o.C = 2 },
-		"t":            func(o *Options) { o.T = 1 },
-		"kmax":         func(o *Options) { o.KMax = 2 },
-		"alpha":        func(o *Options) { o.Alpha = 0.7 },
-		"topk":         func(o *Options) { o.TopK = 3 },
-		"weights":      func(o *Options) { o.Weights.Coverage = 2 },
-		"snap":         func(o *Options) { o.SnapTolerance = 0 },
-		"changetol":    func(o *Options) { o.ChangeTol = 1e-6 },
-		"minleaf":      func(o *Options) { o.MinLeafFrac = 0.1 },
-		"maxatoms":     func(o *Options) { o.MaxCondAtoms = 2 },
-		"robust":       func(o *Options) { o.Robust = !o.Robust },
-		"nonlinear":    func(o *Options) { o.Nonlinear = true },
-		"strategy":     func(o *Options) { o.Strategy = DeltaKMeans },
-		"norefine":     func(o *Options) { o.NoRefine = true },
-		"keepnochange": func(o *Options) { o.KeepNoChangeCTs = true },
+		"target":     func(o *Options) { o.Target = "pay" },
+		"cond attrs": func(o *Options) { o.CondAttrs = []string{"edu"} },
+		"tran attrs": func(o *Options) { o.TranAttrs = []string{"pay"} },
+		"c":          func(o *Options) { o.C = 2 },
+		"t":          func(o *Options) { o.T = 1 },
+		"kmax":       func(o *Options) { o.KMax = 2 },
+		"alpha":      func(o *Options) { o.Alpha = 0.7 },
+		"topk":       func(o *Options) { o.TopK = 3 },
+		"weights":    func(o *Options) { o.Weights.Coverage = 2 },
+		"snap":       func(o *Options) { o.SnapTolerance = 0 },
+		"robust":     func(o *Options) { o.Robust = !o.Robust },
+		"nonlinear":  func(o *Options) { o.Nonlinear = true },
+		"strategy":   func(o *Options) { o.Strategy = DeltaKMeans },
+		"norefine":   func(o *Options) { o.NoRefine = true },
 	}
 	for name, mut := range muts {
 		o := DefaultOptions("bonus")

@@ -9,6 +9,8 @@ import (
 	"charles/internal/diff"
 	"charles/internal/eval"
 	"charles/internal/gen"
+	"charles/internal/model"
+	"charles/internal/predicate"
 	"charles/internal/score"
 )
 
@@ -185,39 +187,42 @@ func E8Baselines(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	w := score.DefaultWeights()
 	r.printf("%-22s %-8s %-10s %-10s %s\n", "method", "size", "score", "accuracy", "interp")
 	type entry struct {
 		name string
+		sum  *model.Summary
 		bd   *score.Breakdown
-		size int
 	}
-	entries := []entry{{"ChARLES (top)", charlesTop.Breakdown, charlesTop.Summary.Size()}}
-	gbd, err := score.Evaluate(global, d.Src, newVals, changed, opts.Alpha, w)
+	entries := []entry{
+		{"ChARLES (top)", charlesTop.Summary, charlesTop.Breakdown},
+		{"global regression (R4)", global, nil},
+		{"cell list", cells, nil},
+		{"no change", nochange, nil},
+	}
+	// The baselines are scored as the engine scores its candidates.
+	ev, err := score.NewEvaluator(d.Src, newVals, changed, opts.Weights, predicate.NewCache(d.Src))
 	if err != nil {
 		return nil, err
 	}
-	entries = append(entries, entry{"global regression (R4)", gbd, global.Size()})
-	cbd, err := score.Evaluate(cells, d.Src, newVals, changed, opts.Alpha, w)
-	if err != nil {
-		return nil, err
-	}
-	entries = append(entries, entry{"cell list", cbd, cells.Size()})
-	nbd, err := score.Evaluate(nochange, d.Src, newVals, changed, opts.Alpha, w)
-	if err != nil {
-		return nil, err
-	}
-	entries = append(entries, entry{"no change", nbd, 0})
-	for _, e := range entries {
-		r.printf("%-22s %-8d %-10.4f %-10.4f %.4f\n", e.name, e.size, e.bd.Score, e.bd.Accuracy, e.bd.Interpretability)
+	for i, e := range entries {
+		if e.bd == nil {
+			bd, err := ev.Evaluate(e.sum)
+			if err != nil {
+				return nil, err
+			}
+			bd.Score = bd.Blend(opts.Alpha)
+			e.bd = &bd
+			entries[i] = e
+		}
+		r.printf("%-22s %-8d %-10.4f %-10.4f %.4f\n", e.name, e.sum.Size(), e.bd.Score, e.bd.Accuracy, e.bd.Interpretability)
 	}
 	r.printf("update distance (Müller et al.): %d cell updates\n", ud)
 
-	r.Values["charles_score"] = charlesTop.Breakdown.Score
-	r.Values["global_score"] = gbd.Score
-	r.Values["celllist_score"] = cbd.Score
-	r.Values["celllist_accuracy"] = cbd.Accuracy
-	r.Values["nochange_score"] = nbd.Score
+	r.Values["charles_score"] = entries[0].bd.Score
+	r.Values["global_score"] = entries[1].bd.Score
+	r.Values["celllist_score"] = entries[2].bd.Score
+	r.Values["celllist_accuracy"] = entries[2].bd.Accuracy
+	r.Values["nochange_score"] = entries[3].bd.Score
 	r.Values["update_distance"] = float64(ud)
 	return r, nil
 }

@@ -244,11 +244,7 @@ func summarizeStep(i int, src, tgt *table.Table, target string, base core.Option
 	if target == "" {
 		return core.SummarizeAllWith(a, base, run)
 	}
-	tol := base.ChangeTol
-	if tol == 0 {
-		tol = 1e-9
-	}
-	mask, err := a.ChangedMask(target, tol)
+	mask, err := a.ChangedMask(target, core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}

@@ -261,7 +261,7 @@ func TestSummarizeAllDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		changed, err := a.ChangedAttrs(base.ChangeTol)
+		changed, err := a.ChangedAttrs(core.ChangeTol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func TestSummarizeTargetMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mask, err := a.ChangedMask(target, base.ChangeTol)
+			mask, err := a.ChangedMask(target, core.ChangeTol)
 			if err != nil {
 				t.Fatal(err)
 			}

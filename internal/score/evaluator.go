@@ -10,34 +10,30 @@ import (
 	"charles/internal/table"
 )
 
-// Evaluator is the reusable, allocation-free fast path of Evaluate. The
-// engine scores thousands of candidate summaries against one fixed
-// (source, actual, changed) triple; Evaluate re-derives everything per call
-// — it re-allocates the prediction and coverage buffers, re-resolves the
-// target column, and re-evaluates every CT condition row by row. An
-// Evaluator binds all of that once:
+// Evaluator scores summaries against one fixed (source, actual, changed)
+// triple, as the engine scores thousands of candidates against one. It
+// binds everything that does not depend on the summary once:
 //
-//   - the target column is resolved to a float view at construction;
+//   - the target column is resolved to a float view on first use;
 //   - the accuracy normalization scale (mean |Δtarget| over changed rows)
 //     is summary-independent and precomputed;
 //   - CT conditions evaluate through a shared predicate.Cache of compiled
-//     atom bitmaps, so each distinct atom touches the rows once per run;
+//     atom bitmaps, so each distinct atom touches the rows once per cache;
 //   - predictions, coverage, and mask buffers are scratch, reused across
 //     calls — steady-state scoring does zero allocations.
 //
-// Results are identical to Evaluate (same arithmetic, same order). Each
-// engine worker owns one Evaluator; an Evaluator is not safe for concurrent
-// use, but the shared cache is.
+// Its breakdowns equal Evaluate's field for field (same arithmetic, same
+// order). An Evaluator is not safe for concurrent use, but the shared cache
+// is: each engine worker owns one Evaluator over the run's one cache.
 type Evaluator struct {
 	src     *table.Table
 	actual  []float64
 	changed []bool
-	alpha   float64
 	w       Weights
 
 	cache *predicate.Cache
 
-	// Target binding (lazily established on first Evaluate, summary target
+	// Target binding (established on first Evaluate, summary target
 	// changes rebind).
 	target   string
 	tvals    []float64
@@ -56,27 +52,24 @@ type Evaluator struct {
 }
 
 // NewEvaluator builds an evaluator for scoring summaries against the actual
-// evolved values (see Evaluate for the argument contract).
-func NewEvaluator(src *table.Table, actual []float64, changed []bool, alpha float64, w Weights) (*Evaluator, error) {
+// evolved values (see Evaluate for the argument contract). Conditions
+// compile into cache, which must be built over src.
+func NewEvaluator(src *table.Table, actual []float64, changed []bool, w Weights, cache *predicate.Cache) (*Evaluator, error) {
 	if src.NumRows() != len(actual) || len(actual) != len(changed) {
 		return nil, fmt.Errorf("score: inconsistent lengths (rows=%d actual=%d changed=%d)", src.NumRows(), len(actual), len(changed))
 	}
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("score: alpha %g out of [0,1]", alpha)
-	}
 	n := len(actual)
 	e := &Evaluator{
-		src:     src,
-		actual:  actual,
-		changed: changed,
-		alpha:   alpha,
-		w:       w,
-		cache:   predicate.NewCache(src),
-		preds:   make([]float64, n),
-		covered: predicate.NewBitset(n),
-		mask:    predicate.NewBitset(n),
+		src:         src,
+		actual:      actual,
+		changed:     changed,
+		w:           w,
+		cache:       cache,
+		changedBits: predicate.NewBitset(n),
+		preds:       make([]float64, n),
+		covered:     predicate.NewBitset(n),
+		mask:        predicate.NewBitset(n),
 	}
-	e.changedBits = predicate.NewBitset(n)
 	for r, ch := range changed {
 		if ch {
 			e.changedBits.Set(r)
@@ -85,13 +78,6 @@ func NewEvaluator(src *table.Table, actual []float64, changed []bool, alpha floa
 	}
 	return e, nil
 }
-
-// SetCache shares an external atom-bitmap cache (the engine owns one per
-// run, shared across its workers).
-func (e *Evaluator) SetCache(c *predicate.Cache) { e.cache = c }
-
-// Cache returns the evaluator's atom-bitmap cache.
-func (e *Evaluator) Cache() *predicate.Cache { return e.cache }
 
 // bindTarget resolves the target column and precomputes the
 // summary-independent half of the accuracy scale.
@@ -124,10 +110,11 @@ func (e *Evaluator) bindTarget(target string) error {
 	return nil
 }
 
-// Evaluate scores summary s. The Breakdown is returned by value so the
-// steady state allocates nothing; results equal Evaluate's exactly.
+// Evaluate scores summary s and returns its α-free breakdown (Score is
+// zero; Blend gives it). The Breakdown is returned by value so the steady
+// state allocates nothing; results equal Evaluate's exactly.
 func (e *Evaluator) Evaluate(s *model.Summary) (Breakdown, error) {
-	if s.Target != e.target {
+	if e.tvals == nil || s.Target != e.target {
 		if err := e.bindTarget(s.Target); err != nil {
 			return Breakdown{}, err
 		}
@@ -197,7 +184,6 @@ func (e *Evaluator) Evaluate(s *model.Summary) (Breakdown, error) {
 
 	b.Interpretability = harmonicMean([]float64{b.Size, b.CondSimplicity, b.TranSimplicity, b.Coverage, b.Normality},
 		[]float64{e.w.Size, e.w.CondSimplicity, e.w.TranSimplicity, e.w.Coverage, e.w.Normality})
-	b.Score = e.alpha*b.Accuracy + (1-e.alpha)*b.Interpretability
 	return b, nil
 }
 

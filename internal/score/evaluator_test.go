@@ -89,15 +89,14 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				changed[r] = true
 			}
 		}
-		alpha := rng.Float64()
 		w := DefaultWeights()
-		ev, err := NewEvaluator(src, actual, changed, alpha, w)
+		ev, err := NewEvaluator(src, actual, changed, w, predicate.NewCache(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for si := 0; si < 20; si++ {
 			s := randomSummary(rng)
-			want, err := Evaluate(s, src, actual, changed, alpha, w)
+			want, err := Evaluate(s, src, actual, changed, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +124,7 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 		actual[r] = pay.Float(r) * 1.1
 		changed[r] = true
 	}
-	ev, err := NewEvaluator(src, actual, changed, 0.5, DefaultWeights())
+	ev, err := NewEvaluator(src, actual, changed, DefaultWeights(), predicate.NewCache(src))
 	if err != nil {
 		t.Fatal(err)
 	}

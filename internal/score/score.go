@@ -8,10 +8,13 @@
 // transformations, higher coverage, and more "normal" constants — as a
 // weighted mean of sub-scores in [0,1].
 //
-// Evaluate is the row-at-a-time reference implementation; Evaluator is the
-// engine's reusable vectorized equivalent (compiled predicate masks, bound
-// target column, zero steady-state allocations) producing bit-identical
-// breakdowns.
+// Scoring has two halves. Evaluator computes a summary's α-free Breakdown
+// (accuracy, interpretability and their components) through compiled
+// predicate masks, a bound target column and reused scratch buffers; it is
+// the program's only scorer. Breakdown.Blend then mixes accuracy and
+// interpretability for one α, and is the only code that computes Score, so
+// one breakdown can be ranked at any α. Evaluate is the row-at-a-time
+// reference the Evaluator is tested against, field for field.
 package score
 
 import (
@@ -50,7 +53,9 @@ const SizePenalty = 0.25
 // Example 1 ranking).
 const AccuracySharpness = 10
 
-// Breakdown is a fully evaluated score with its components.
+// Breakdown is an evaluated summary: its accuracy, its interpretability
+// with their components, and the Score that Blend gives them at one α.
+// Evaluator and Evaluate leave Score zero.
 type Breakdown struct {
 	Score            float64
 	Accuracy         float64
@@ -68,19 +73,24 @@ type Breakdown struct {
 	Scale float64 // normalization scale (mean |Δtarget| over changed rows)
 }
 
-// Evaluate scores summary s against the actual evolved values.
+// Blend is Score(S) = α·Accuracy + (1−α)·Interpretability, the ranking
+// score at accuracy weight α.
+func (b Breakdown) Blend(alpha float64) float64 {
+	return alpha*b.Accuracy + (1-alpha)*b.Interpretability
+}
+
+// Evaluate is the row-at-a-time reference scorer: it evaluates summary s
+// against the actual evolved values, row by row through Summary.Apply, and
+// returns the α-free breakdown. The program scores through Evaluator;
+// Evaluate is what the tests hold it to.
 //
 //	src      — the source snapshot (CT inputs are read from it)
 //	actual   — target-attribute values in the *target* snapshot, aligned to
 //	           source row order
 //	changed  — per-source-row mask of rows whose target attribute changed
-//	alpha    — accuracy weight α ∈ [0,1]
-func Evaluate(s *model.Summary, src *table.Table, actual []float64, changed []bool, alpha float64, w Weights) (*Breakdown, error) {
+func Evaluate(s *model.Summary, src *table.Table, actual []float64, changed []bool, w Weights) (*Breakdown, error) {
 	if src.NumRows() != len(actual) || len(actual) != len(changed) {
 		return nil, fmt.Errorf("score: inconsistent lengths (rows=%d actual=%d changed=%d)", src.NumRows(), len(actual), len(changed))
-	}
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("score: alpha %g out of [0,1]", alpha)
 	}
 	preds, covered, err := s.Apply(src)
 	if err != nil {
@@ -141,7 +151,6 @@ func Evaluate(s *model.Summary, src *table.Table, actual []float64, changed []bo
 
 	b.Interpretability = harmonicMean([]float64{b.Size, b.CondSimplicity, b.TranSimplicity, b.Coverage, b.Normality},
 		[]float64{w.Size, w.CondSimplicity, w.TranSimplicity, w.Coverage, w.Normality})
-	b.Score = alpha*b.Accuracy + (1-alpha)*b.Interpretability
 	return b, nil
 }
 

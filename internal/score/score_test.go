@@ -37,7 +37,7 @@ func perfectSummary() *model.Summary {
 
 func TestPerfectSummaryScoresAccuracyOne(t *testing.T) {
 	tbl, actual, changed := fixture(t)
-	bd, err := Evaluate(perfectSummary(), tbl, actual, changed, 0.5, DefaultWeights())
+	bd, err := Evaluate(perfectSummary(), tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func TestPerfectSummaryScoresAccuracyOne(t *testing.T) {
 	if bd.Interpretability <= 0.9 {
 		t.Errorf("single simple CT should be highly interpretable: %v", bd.Interpretability)
 	}
-	if bd.Score < 0.95 {
-		t.Errorf("score = %v", bd.Score)
+	if bd.Blend(0.5) < 0.95 {
+		t.Errorf("score = %v", bd.Blend(0.5))
 	}
 }
 
 func TestEmptySummaryAccuracyLow(t *testing.T) {
 	tbl, actual, changed := fixture(t)
-	bd, err := Evaluate(&model.Summary{Target: "pay"}, tbl, actual, changed, 0.5, DefaultWeights())
+	bd, err := Evaluate(&model.Summary{Target: "pay"}, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,36 +78,55 @@ func TestEmptySummaryAccuracyLow(t *testing.T) {
 
 func TestAlphaBlending(t *testing.T) {
 	tbl, actual, changed := fixture(t)
-	s := perfectSummary()
+	bd, err := Evaluate(perfectSummary(), tbl, actual, changed, DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd.Score != 0 {
+		t.Errorf("Evaluate set Score %v; only Blend computes it", bd.Score)
+	}
+	if bd.Blend(0) != bd.Interpretability || bd.Blend(1) != bd.Accuracy {
+		t.Errorf("Blend(0) = %v, Blend(1) = %v; want interpretability %v and accuracy %v",
+			bd.Blend(0), bd.Blend(1), bd.Interpretability, bd.Accuracy)
+	}
 	var prev float64
-	for i, alpha := range []float64{0, 0.5, 1} {
-		bd, err := Evaluate(s, tbl, actual, changed, alpha, DefaultWeights())
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, alpha := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		got := bd.Blend(alpha)
 		want := alpha*bd.Accuracy + (1-alpha)*bd.Interpretability
-		if math.Abs(bd.Score-want) > 1e-12 {
-			t.Errorf("alpha=%v: score %v != blend %v", alpha, bd.Score, want)
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("alpha=%v: Blend %v != %v", alpha, got, want)
 		}
 		// For this summary accuracy > interpretability, so score rises with α.
-		if i > 0 && bd.Score < prev-1e-9 {
+		if i > 0 && got < prev-1e-9 {
 			t.Errorf("score not monotone in alpha")
 		}
-		prev = bd.Score
+		prev = got
 	}
 }
 
+// TestEvaluateValidation holds both scorers to the same argument checks.
 func TestEvaluateValidation(t *testing.T) {
 	tbl, actual, changed := fixture(t)
-	if _, err := Evaluate(perfectSummary(), tbl, actual[:2], changed, 0.5, DefaultWeights()); err == nil {
-		t.Error("length mismatch accepted")
+	if _, err := Evaluate(perfectSummary(), tbl, actual[:2], changed, DefaultWeights()); err == nil {
+		t.Error("Evaluate: length mismatch accepted")
 	}
-	if _, err := Evaluate(perfectSummary(), tbl, actual, changed, 1.5, DefaultWeights()); err == nil {
-		t.Error("alpha out of range accepted")
+	if _, err := NewEvaluator(tbl, actual[:2], changed, DefaultWeights(), predicate.NewCache(tbl)); err == nil {
+		t.Error("NewEvaluator: length mismatch accepted")
 	}
-	bad := &model.Summary{Target: "ghost"}
-	if _, err := Evaluate(bad, tbl, actual, changed, 0.5, DefaultWeights()); err == nil {
-		t.Error("unknown target accepted")
+	ev, err := NewEvaluator(tbl, actual, changed, DefaultWeights(), predicate.NewCache(tbl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty target is checked too: the evaluator starts bound to no
+	// target, which must not read as bound to "".
+	for _, target := range []string{"ghost", ""} {
+		bad := &model.Summary{Target: target}
+		if _, err := Evaluate(bad, tbl, actual, changed, DefaultWeights()); err == nil {
+			t.Errorf("Evaluate: unknown target %q accepted", target)
+		}
+		if _, err := ev.Evaluate(bad); err == nil {
+			t.Errorf("Evaluator: unknown target %q accepted", target)
+		}
 	}
 }
 
@@ -123,11 +142,11 @@ func TestSizePenaltyMonotone(t *testing.T) {
 			Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{1.1}},
 		})
 	}
-	bd1, err := Evaluate(one, tbl, actual, changed, 0.5, DefaultWeights())
+	bd1, err := Evaluate(one, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd3, err := Evaluate(three, tbl, actual, changed, 0.5, DefaultWeights())
+	bd3, err := Evaluate(three, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +174,11 @@ func TestCondAndTranSimplicity(t *testing.T) {
 			Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{1.1}},
 		}},
 	}
-	simple, err := Evaluate(perfectSummary(), tbl, actual, changed, 0.5, DefaultWeights())
+	simple, err := Evaluate(perfectSummary(), tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	complexBd, err := Evaluate(complexCond, tbl, actual, changed, 0.5, DefaultWeights())
+	complexBd, err := Evaluate(complexCond, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +197,11 @@ func TestNormalityPrefersRoundConstants(t *testing.T) {
 			Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{1.09973}, Intercept: 0.41},
 		}},
 	}
-	rb, err := Evaluate(round, tbl, actual, changed, 0.5, DefaultWeights())
+	rb, err := Evaluate(round, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := Evaluate(ugly, tbl, actual, changed, 0.5, DefaultWeights())
+	ub, err := Evaluate(ugly, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +220,7 @@ func TestCoverageComponent(t *testing.T) {
 			Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{1.1}},
 		}},
 	}
-	bd, err := Evaluate(partial, tbl, actual, changed, 0.5, DefaultWeights())
+	bd, err := Evaluate(partial, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +253,7 @@ func TestNoChangedRowsScale(t *testing.T) {
 	tbl, _, _ := fixture(t)
 	actual := []float64{1000, 2000, 3000, 4000} // nothing changed
 	changed := []bool{false, false, false, false}
-	bd, err := Evaluate(&model.Summary{Target: "pay"}, tbl, actual, changed, 0.5, DefaultWeights())
+	bd, err := Evaluate(&model.Summary{Target: "pay"}, tbl, actual, changed, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

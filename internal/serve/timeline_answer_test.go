@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -15,6 +16,8 @@ import (
 	"charles/internal/core"
 	"charles/internal/gen"
 	"charles/internal/history"
+	"charles/internal/model"
+	"charles/internal/score"
 	"charles/internal/store"
 	"charles/internal/table"
 )
@@ -154,10 +157,9 @@ func categoricalChain(t *testing.T) []*table.Table {
 // entries) and walk answer each equal writeJSON of the whole-answer struct
 // byte for byte, cold and cached. The lineages are gen.Chain, projected
 // gen.MutateChain and one that moves no numeric attribute ("targets":
-// null); their first heads have one step and no drifts, the mutated ones
-// skip non-numeric attributes, and one of them holds a NaN in a summary,
-// which JSON cannot carry: then the oracle cannot encode the answer either,
-// and the server answers 500 instead of a partial or empty 200.
+// null); their first heads have one step and no drifts, and the mutated
+// ones skip non-numeric attributes. (TestTimelineAnswerUnencodable covers
+// an answer JSON cannot carry.)
 func TestTimelineAnswerMatchesStructEncoder(t *testing.T) {
 	chain, err := gen.Chain(gen.ChainConfig{N: 40, Steps: 6, Seed: 5})
 	if err != nil {
@@ -175,7 +177,7 @@ func TestTimelineAnswerMatchesStructEncoder(t *testing.T) {
 		body         timelineRequest
 		live, cached bool
 	}
-	var oneStep, nulls, skips, unencodable int
+	var oneStep, nulls, skips int
 	for name, snaps := range lineages {
 		t.Run(name, func(t *testing.T) {
 			st, err := store.Open("")
@@ -225,15 +227,11 @@ func TestTimelineAnswerMatchesStructEncoder(t *testing.T) {
 					{timelineRequest{Head: v.ID}, false, false},
 					{timelineRequest{Head: v.ID}, false, true},
 				} {
-					want, encErr := oracleAnswer(v.ID, ids, a.live, a.cached, mt)
-					resp, body := postJSON(t, ts.URL+"/timeline", a.body)
-					if encErr != nil {
-						unencodable++
-						if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value") {
-							t.Errorf("head %d live=%v: the struct encoder cannot encode the answer (%v), served %d: %s", len(ids)-1, a.live, encErr, resp.StatusCode, body)
-						}
-						continue
+					want, err := oracleAnswer(v.ID, ids, a.live, a.cached, mt)
+					if err != nil {
+						t.Fatalf("head %d: the struct encoder cannot encode the answer: %v", len(ids)-1, err)
 					}
+					resp, body := postJSON(t, ts.URL+"/timeline", a.body)
 					if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
 						t.Fatalf("head %d live=%v: status %d, content type %q: %s", len(ids)-1, a.live, resp.StatusCode, resp.Header.Get("Content-Type"), body)
 					}
@@ -247,8 +245,40 @@ func TestTimelineAnswerMatchesStructEncoder(t *testing.T) {
 			}
 		})
 	}
-	if oneStep == 0 || nulls == 0 || skips == 0 || unencodable == 0 {
-		t.Errorf("cases not covered: %d one-step answers, %d null-target, %d with skipped attributes, %d unencodable", oneStep, nulls, skips, unencodable)
+	if oneStep == 0 || nulls == 0 || skips == 0 {
+		t.Errorf("cases not covered: %d one-step answers, %d null-target, %d with skipped attributes", oneStep, nulls, skips)
+	}
+}
+
+// TestTimelineAnswerUnencodable pins the answer to a timeline JSON cannot
+// carry. A hand-built one-step timeline whose summary has a NaN intercept
+// fails encodeTimelineAnswer with the JSON encoder's UnsupportedValueError,
+// as it fails the struct encoder, and the handler's error path answers it
+// with a 500, never a partial or empty 200.
+func TestTimelineAnswerUnencodable(t *testing.T) {
+	ids := []string{"v0", "v1"}
+	nan := &model.Summary{Target: "pay", CTs: []model.CT{{
+		Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{1}, Intercept: math.NaN()},
+	}}}
+	mt := &history.MultiTimeline{
+		Attrs: []string{"pay"},
+		Timelines: map[string]*history.Timeline{"pay": {Target: "pay", Steps: []history.Step{
+			{From: 0, To: 1, Ranked: []core.Ranked{{Summary: nan, Breakdown: &score.Breakdown{}}}},
+		}}},
+		Steps: 1,
+	}
+	if _, err := oracleAnswer("v1", ids, false, false, mt); err == nil {
+		t.Fatal("the struct encoder encoded a NaN")
+	}
+	_, _, err := encodeTimelineAnswer("v1", ids, false, mt, nil)
+	var unsupported *json.UnsupportedValueError
+	if !errors.As(err, &unsupported) {
+		t.Fatalf("encodeTimelineAnswer: %v, want a json.UnsupportedValueError", err)
+	}
+	rec := httptest.NewRecorder()
+	writeError(rec, err)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "unsupported value") {
+		t.Errorf("served %d: %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -83,31 +83,6 @@ func Pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Ranks returns the average-rank transform of xs (1-based; ties share the
-// mean of the ranks they span).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	i := 0
-	for i < n {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
 // CorrelationRatio computes η, the correlation ratio between a categorical
 // variable (category label per row) and a numeric one: the square root of
 // the between-group variance share. η ∈ [0,1]; 1 means the category fully

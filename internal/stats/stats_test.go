@@ -87,16 +87,6 @@ func TestPearsonBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestRanksWithTies(t *testing.T) {
-	r := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Errorf("rank[%d] = %v, want %v", i, r[i], want[i])
-		}
-	}
-}
-
 func TestCorrelationRatioDeterministic(t *testing.T) {
 	cats := []string{"a", "a", "b", "b", "c", "c"}
 	vals := []float64{1, 1, 5, 5, 9, 9}

@@ -2,6 +2,9 @@ package charles
 
 import (
 	"testing"
+
+	"charles/internal/core"
+	"charles/internal/score"
 )
 
 // TestWorkersMatchSerialAt2k is the scale companion of
@@ -45,24 +48,15 @@ func TestWorkersMatchSerialAt2k(t *testing.T) {
 }
 
 // TestVectorizedApplyMatchesNaiveAt2k locks the whole vectorized candidate-
-// evaluation stack against the naive per-row path at scale: for every
-// summary the engine ranks, the naive Summary.Apply predictions must agree
-// with the score the vectorized evaluator assigned (Score is recomputed
-// through the public scoring entry point, which uses the naive Apply).
+// evaluation stack against the naive per-row path at scale, at α = 0, 0.5
+// and 1: every breakdown the engine ranks must equal the row-at-a-time
+// score.Evaluate of its summary (Summary.Apply predictions) blended at that
+// α, field for field, and the ranking must descend in Score. α = 0 and 1
+// are the blends that ignore accuracy and interpretability respectively.
 func TestVectorizedApplyMatchesNaiveAt2k(t *testing.T) {
 	d, err := PlantedDataset(PlantedConfig{N: 2000, Seed: 29, Rules: 2, RuleDepth: 2, UnchangedFrac: 0.4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	opts := DefaultOptions(d.Target)
-	opts.CondAttrs = d.CondAttrs
-	opts.TranAttrs = d.TranAttrs
-	ranked, err := Summarize(d.Src, d.Tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) == 0 {
-		t.Fatal("no summaries")
 	}
 	a, err := Align(d.Src, d.Tgt)
 	if err != nil {
@@ -72,17 +66,34 @@ func TestVectorizedApplyMatchesNaiveAt2k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err := a.ChangedMask(d.Target, opts.ChangeTol)
+	changed, err := a.ChangedMask(d.Target, core.ChangeTol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range ranked {
-		bd, err := Evaluate(r.Summary, a.Source, newVals, changed, opts.Alpha, opts.Weights)
+	for _, alpha := range []float64{0, 0.5, 1} {
+		opts := DefaultOptions(d.Target)
+		opts.CondAttrs = d.CondAttrs
+		opts.TranAttrs = d.TranAttrs
+		opts.Alpha = alpha
+		ranked, err := Summarize(d.Src, d.Tgt, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *bd != *r.Breakdown {
-			t.Fatalf("summary %d: naive breakdown %+v != engine breakdown %+v", i, *bd, *r.Breakdown)
+		if len(ranked) == 0 {
+			t.Fatalf("alpha %v: no summaries", alpha)
+		}
+		for i, r := range ranked {
+			bd, err := score.Evaluate(r.Summary, a.Source, newVals, changed, opts.Weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd.Score = bd.Blend(alpha)
+			if *bd != *r.Breakdown {
+				t.Fatalf("alpha %v, summary %d: naive breakdown %+v != engine breakdown %+v", alpha, i, *bd, *r.Breakdown)
+			}
+			if i > 0 && ranked[i-1].Score() < r.Score() {
+				t.Fatalf("alpha %v: summary %d scores %v, above summary %d's %v", alpha, i, r.Score(), i-1, ranked[i-1].Score())
+			}
 		}
 	}
 }
