@@ -33,9 +33,7 @@
 //
 // Versions are stored as delta-encoded pack files (full anchors every few
 // commits); changes prints a version's decoded delta ops straight from its
-// pack, and diff serves change queries from the delta ops whenever the two
-// versions are delta-connected (checkout+align otherwise — same answer).
-// stats reports pack counts, on-disk vs logical bytes, and the
+// pack, and diff aligns the two versions' checkouts. stats reports pack counts, on-disk vs logical bytes, and the
 // checkout-cache counters, and gc reclaims legacy per-version CSVs left by
 // migration plus orphaned packs.
 //
@@ -59,6 +57,7 @@ import (
 
 	charles "charles"
 	"charles/internal/cliflag"
+	"charles/internal/core"
 )
 
 func main() {
@@ -344,13 +343,9 @@ func cmdDiff(st *charles.VersionStore, args []string) {
 	if *from == "" || *to == "" {
 		fatal(fmt.Errorf("diff needs -from and -to"))
 	}
-	res, native, err := st.DiffResult(*from, *to, 1e-9)
+	res, _, err := st.DiffResult(*from, *to, core.ChangeTol)
 	if err != nil {
 		fatal(err)
-	}
-	path := "checkout+align"
-	if native {
-		path = "delta-native"
 	}
 	if *target != "" {
 		if !res.HasColumn(*target) {
@@ -360,7 +355,7 @@ func cmdDiff(st *charles.VersionStore, args []string) {
 		for _, ch := range changes {
 			fmt.Printf("%s: %s %v -> %v\n", ch.Key, ch.Attr, ch.Old, ch.New)
 		}
-		fmt.Printf("%d changed cells of %s (%s)\n", len(changes), *target, path)
+		fmt.Printf("%d changed cells of %s\n", len(changes), *target)
 		return
 	}
 	if len(res.Removed) > 0 {
@@ -369,7 +364,7 @@ func cmdDiff(st *charles.VersionStore, args []string) {
 	if len(res.Inserted) > 0 {
 		fmt.Printf("inserted entities: %v\n", res.Inserted)
 	}
-	fmt.Printf("update distance: %d cell modifications across %v (%s)\n", res.UpdateDistance, res.ChangedAttrs, path)
+	fmt.Printf("update distance: %d cell modifications across %v\n", res.UpdateDistance, res.ChangedAttrs)
 }
 
 func cmdSummarize(st *charles.VersionStore, args []string) {

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	charles "charles"
+	"charles/internal/core"
 )
 
 func main() {
@@ -95,7 +96,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		changes, err := a.Changes(*target, 1e-9)
+		changes, err := a.Changes(*target, core.ChangeTol)
 		if err != nil {
 			fatal(err)
 		}
@@ -103,7 +104,7 @@ func main() {
 			k, _ := a.Source.KeyOf(ch.SrcRow)
 			fmt.Printf("%s: %s %v -> %v\n", k, ch.Attr, ch.Old, ch.New)
 		}
-		ud, err := a.UpdateDistance(1e-9)
+		ud, err := a.UpdateDistance(core.ChangeTol)
 		if err != nil {
 			fatal(err)
 		}

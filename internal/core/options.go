@@ -18,8 +18,9 @@ import (
 )
 
 // ChangeTol is the absolute tolerance within which a numeric cell counts
-// as unchanged between two snapshots: the engine, SummarizeAll and the
-// timeline layer all detect change with it.
+// as unchanged between two snapshots: the engine, SummarizeAll, the
+// timeline layer, the diff and change listings of the CLIs and the server,
+// and the experiments all detect change with it.
 const ChangeTol = 1e-9
 
 // Options configure a Summarize run. The zero value is not valid; use

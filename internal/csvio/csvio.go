@@ -72,7 +72,7 @@ func Read(r io.Reader, opts Options) (*table.Table, error) {
 			return nil, fmt.Errorf("csvio: row %d has %d fields, want %d", ri+2, len(rec), len(header))
 		}
 		for ci, cell := range rec {
-			v, err := ParseCell(cell, schema[ci].Type)
+			v, err := parseCell(cell, schema[ci].Type)
 			if err != nil {
 				return nil, fmt.Errorf("csvio: row %d column %q: %w", ri+2, schema[ci].Name, err)
 			}
@@ -219,12 +219,11 @@ func normalizeNumber(s string) (string, bool) {
 	return s, true
 }
 
-// ParseCell converts one CSV cell to a Value of the target type, exactly as
-// Read does for a typed column: cells are whitespace-trimmed, empty cells
-// become nulls, and numeric decorations (currency, separators, percent) are
-// normalized away. Exported so the delta-native diff path can turn delta-op
-// cell texts into the same Values a checkout of the child snapshot yields.
-func ParseCell(cell string, t table.Type) (table.Value, error) {
+// parseCell converts one CSV cell to a Value of the target type, as Read
+// does for a typed column: cells are whitespace-trimmed, empty cells become
+// nulls, and numeric decorations (currency, separators, percent) are
+// normalized away.
+func parseCell(cell string, t table.Type) (table.Value, error) {
 	cell = strings.TrimSpace(cell)
 	if cell == "" {
 		return table.Null(t), nil

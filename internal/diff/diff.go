@@ -2,7 +2,10 @@
 // extracts cell-level changes. It enforces the ChARLES preconditions —
 // identical schemas, identical entity sets (no inserts or deletes) — and
 // provides the syntactic-change primitives (changed-cell lists, update
-// distance) that the semantic layers and the baselines build on.
+// distance) that the semantic layers and the baselines build on. Result and
+// ResultFromPair define the raw change list between two snapshots (removed
+// and inserted entities plus every modified cell): the one answer to a
+// change query, whoever asks it.
 package diff
 
 import (
@@ -198,6 +201,104 @@ func AlignCommon(src, tgt *table.Table) (*CommonAlignment, error) {
 	}
 	ca.Aligned = a
 	return ca, nil
+}
+
+// KeyedChange is one modified cell addressed by entity key rather than row
+// number.
+type KeyedChange struct {
+	Key  string
+	Attr string
+	Old  table.Value
+	New  table.Value
+}
+
+// Result is the answer to a change query between two snapshots: row-set
+// membership changes plus the modified cells of the common entities, in a
+// deterministic order — Removed in source row order, Inserted in target row
+// order, Changes attribute-major (schema order) then source row order.
+type Result struct {
+	// Columns names every column of the (shared) schema in order.
+	Columns []string
+	// Removed lists encoded keys present only in the source.
+	Removed []string
+	// Inserted lists encoded keys present only in the target.
+	Inserted []string
+	// Changes lists every modified non-key cell of the common entities.
+	Changes []KeyedChange
+	// ChangedAttrs lists the non-key attributes with at least one modified
+	// cell, in schema order.
+	ChangedAttrs []string
+	// UpdateDistance is len(Changes): the Müller et al. update distance
+	// over the common entities.
+	UpdateDistance int
+}
+
+// HasColumn reports whether the snapshots' shared schema has the named
+// column (key columns included) — the target validation both the HTTP and
+// CLI front-ends apply before filtering changes.
+func (r *Result) HasColumn(name string) bool {
+	for _, c := range r.Columns {
+		if c == name {
+			return true
+		}
+	}
+	return false
+}
+
+// ChangesFor returns the modified cells of one attribute, in source row
+// order (nil when it did not change).
+func (r *Result) ChangesFor(attr string) []KeyedChange {
+	var out []KeyedChange
+	for _, ch := range r.Changes {
+		if ch.Attr == attr {
+			out = append(out, ch)
+		}
+	}
+	return out
+}
+
+// ResultFromPair answers a change query: match the two snapshots on their
+// common entities (AlignCommon) and list every modified cell at the given
+// absolute tolerance. Pairs AlignCommon refuses (different schemas, no key)
+// are refused with its error.
+func ResultFromPair(src, tgt *table.Table, tol float64) (*Result, error) {
+	ca, err := AlignCommon(src, tgt)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: src.Schema().Names()}
+	key := src.Key()
+	for _, r := range ca.Deleted {
+		k, err := src.KeyOf(r)
+		if err != nil {
+			return nil, err
+		}
+		res.Removed = append(res.Removed, k)
+	}
+	for _, r := range ca.Inserted {
+		k, err := tgt.KeyFor(r, key)
+		if err != nil {
+			return nil, err
+		}
+		res.Inserted = append(res.Inserted, k)
+	}
+	changes, err := ca.AllChanges(tol)
+	if err != nil {
+		return nil, err
+	}
+	for _, ch := range changes {
+		k, err := ca.Source.KeyOf(ch.SrcRow)
+		if err != nil {
+			return nil, err
+		}
+		res.Changes = append(res.Changes, KeyedChange{Key: k, Attr: ch.Attr, Old: ch.Old, New: ch.New})
+	}
+	res.ChangedAttrs, err = ca.ChangedAttrs(tol)
+	if err != nil {
+		return nil, err
+	}
+	res.UpdateDistance = len(res.Changes)
+	return res, nil
 }
 
 // Change is one modified cell.

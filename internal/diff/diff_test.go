@@ -449,3 +449,157 @@ func TestMatchKeys(t *testing.T) {
 		t.Errorf("empty source: %+v, %v", m, err)
 	}
 }
+
+// TestMatchKeysSeparatorCollision is the key-aliasing regression test: two
+// distinct multi-column keys whose cells contain the key separator must not
+// encode identically (pre-fix, ("a\x1fb","c") and ("a","b\x1fc") aliased,
+// corrupting MatchKeys and the store's delta encoder).
+func TestMatchKeysSeparatorCollision(t *testing.T) {
+	schema := table.Schema{
+		{Name: "k1", Type: table.String},
+		{Name: "k2", Type: table.String},
+		{Name: "v", Type: table.Int},
+	}
+	tbl := table.MustNew(schema)
+	tbl.MustAppendRow(table.S("a"+table.KeySep+"b"), table.S("c"), table.I(1))
+	tbl.MustAppendRow(table.S("a"), table.S("b"+table.KeySep+"c"), table.I(2))
+	if err := tbl.SetKey("k1", "k2"); err != nil {
+		t.Fatal(err)
+	}
+	k0, err := tbl.KeyOf(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, err := tbl.KeyOf(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k0 == k1 {
+		t.Fatalf("distinct keys alias: %q", k0)
+	}
+	if _, err := tbl.KeyIndexFor(tbl.Key()); err != nil {
+		t.Fatalf("valid table reported duplicate keys: %v", err)
+	}
+	if m, err := MatchKeys([]string{k0, k1}, []string{k1}); err != nil || len(m.Pairs) != 1 || len(m.SrcOnly) != 1 {
+		t.Fatalf("MatchKeys over separator-bearing keys = %+v, %v", m, err)
+	}
+}
+
+// resultTable builds a snapshot (id, grade, pay, dept) keyed by id, one row
+// per value list.
+func resultTable(t *testing.T, rows ...[]table.Value) *table.Table {
+	t.Helper()
+	tbl := table.MustNew(table.Schema{
+		{Name: "id", Type: table.String},
+		{Name: "grade", Type: table.Int},
+		{Name: "pay", Type: table.Float},
+		{Name: "dept", Type: table.String},
+	})
+	for _, r := range rows {
+		tbl.MustAppendRow(r...)
+	}
+	if err := tbl.SetKey("id"); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+func row(id string, grade int64, pay float64, dept string) []table.Value {
+	return []table.Value{table.S(id), table.I(grade), table.F(pay), table.S(dept)}
+}
+
+// changeStrings renders a Result's changes as "key attr old→new", in order.
+func changeStrings(res *Result) []string {
+	var out []string
+	for _, ch := range res.Changes {
+		out = append(out, ch.Key+" "+ch.Attr+" "+ch.Old.String()+"→"+ch.New.String())
+	}
+	return out
+}
+
+// TestResultFromPairMembershipAndChanges pins the change-query answer
+// itself: removed keys in source row order, inserted keys in target row
+// order, changes attribute-major then source row order, changed attributes
+// in schema order, and a cell rewritten to its old value is no change.
+func TestResultFromPairMembershipAndChanges(t *testing.T) {
+	src := resultTable(t,
+		row("a", 1, 100.5, "eng"), row("b", 2, 200.5, "fin"),
+		row("c", 3, 300.5, "pol"), row("d", 4, 400.5, "eng"))
+	tgt := resultTable(t,
+		row("e", 5, 500.5, "fin"), row("d", 4, 400.5, "eng"),
+		row("c", 30, 300.5, "eng"), row("a", 1, 150.5, "eng"))
+	res, err := ResultFromPair(src, tgt, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"id", "grade", "pay", "dept"}; !reflect.DeepEqual(res.Columns, want) {
+		t.Errorf("columns = %v, want %v", res.Columns, want)
+	}
+	if !reflect.DeepEqual(res.Removed, []string{"b"}) || !reflect.DeepEqual(res.Inserted, []string{"e"}) {
+		t.Errorf("removed/inserted = %v / %v, want [b] / [e]", res.Removed, res.Inserted)
+	}
+	want := []string{"c grade 3→30", "a pay 100.5→150.5", "c dept pol→eng"}
+	if got := changeStrings(res); !reflect.DeepEqual(got, want) {
+		t.Errorf("changes = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(res.ChangedAttrs, []string{"grade", "pay", "dept"}) || res.UpdateDistance != 3 {
+		t.Errorf("changed attrs = %v, distance %d; want [grade pay dept], 3", res.ChangedAttrs, res.UpdateDistance)
+	}
+	if !res.HasColumn("id") || res.HasColumn("ghost") {
+		t.Error("HasColumn disagrees with the schema")
+	}
+	if got := res.ChangesFor("pay"); len(got) != 1 || got[0].Key != "a" {
+		t.Errorf("ChangesFor(pay) = %+v, want the one change of a", got)
+	}
+}
+
+// TestResultFromPairTolerance pins the absolute change tolerance: a numeric
+// move of 1e-7 is no change at 1e-3 and one change at 1e-9.
+func TestResultFromPairTolerance(t *testing.T) {
+	src := resultTable(t, row("a", 1, 100.5, "eng"), row("b", 2, 200.5, "fin"))
+	tgt := resultTable(t, row("a", 1, 100.5000001, "eng"), row("b", 2, 200.5, "fin"))
+	res, err := ResultFromPair(src, tgt, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UpdateDistance != 0 || res.Changes != nil || res.ChangedAttrs != nil {
+		t.Errorf("sub-tolerance move counted: %+v", res)
+	}
+	res, err = ResultFromPair(src, tgt, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := changeStrings(res), []string{"a pay 100.5→100.5000001"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("changes = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(res.ChangedAttrs, []string{"pay"}) || res.UpdateDistance != 1 {
+		t.Errorf("changed attrs = %v, distance %d; want [pay], 1", res.ChangedAttrs, res.UpdateDistance)
+	}
+}
+
+// TestResultFromPairNullAndNaNTransitions pins null and NaN in change
+// queries: a move into or out of null or NaN is a change, null or NaN on
+// both sides is not, whatever the tolerance.
+func TestResultFromPairNullAndNaNTransitions(t *testing.T) {
+	nan, null := math.NaN(), table.Null(table.Float)
+	mk := func(pays ...table.Value) *table.Table {
+		var rows [][]table.Value
+		for i, p := range pays {
+			rows = append(rows, []table.Value{table.S(string(rune('a' + i))), table.I(1), p, table.S("eng")})
+		}
+		return resultTable(t, rows...)
+	}
+	src := mk(table.F(1.5), null, table.F(nan), table.F(2.5), null, table.F(nan), table.F(3.5))
+	tgt := mk(null, table.F(1.5), table.F(2.5), table.F(nan), null, table.F(nan), table.F(3.5))
+	res, err := ResultFromPair(src, tgt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a pay 1.5→NULL", "b pay NULL→1.5", "c pay NaN→2.5", "d pay 2.5→NaN"}
+	if got := changeStrings(res); !reflect.DeepEqual(got, want) {
+		t.Errorf("changes = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(res.ChangedAttrs, []string{"pay"}) || res.UpdateDistance != 4 {
+		t.Errorf("changed attrs = %v, distance %d; want [pay], 4", res.ChangedAttrs, res.UpdateDistance)
+	}
+}

@@ -36,7 +36,7 @@ func recoveryMetrics(d *gen.PlantedData, opts core.Options) (top core.Ranked, rm
 	if err != nil {
 		return top, rm, nil, elapsed, err
 	}
-	changed, err := a.ChangedMask(d.Target, 1e-9)
+	changed, err := a.ChangedMask(d.Target, core.ChangeTol)
 	if err != nil {
 		return top, rm, nil, elapsed, err
 	}
@@ -159,7 +159,7 @@ func E8Baselines(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	changed, err := a.ChangedMask(d.Target, 1e-9)
+	changed, err := a.ChangedMask(d.Target, core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}
@@ -173,16 +173,16 @@ func E8Baselines(cfg Config) (*Report, error) {
 	}
 	charlesTop := ranked[0]
 
-	global, err := baseline.GlobalRegression(a, d.Target, d.TranAttrs, 1e-9)
+	global, err := baseline.GlobalRegression(a, d.Target, d.TranAttrs, core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := baseline.CellList(a, d.Target, 1e-9)
+	cells, err := baseline.CellList(a, d.Target, core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}
 	nochange := baseline.NoChange(d.Target)
-	ud, err := baseline.UpdateDistance(a, d.Target, 1e-9)
+	ud, err := baseline.UpdateDistance(a, d.Target, core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}

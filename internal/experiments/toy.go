@@ -41,7 +41,7 @@ func E1ToyRecovery(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	changed, err := a.ChangedMask("bonus", 1e-9)
+	changed, err := a.ChangedMask("bonus", core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +102,11 @@ func E3AttributeSelection(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cond, err := assist.SuggestCondition(a, "bonus", 1e-9)
+	cond, err := assist.SuggestCondition(a, "bonus", core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}
-	tran, err := assist.SuggestTransformation(a, "bonus", 1e-9)
+	tran, err := assist.SuggestTransformation(a, "bonus", core.ChangeTol)
 	if err != nil {
 		return nil, err
 	}

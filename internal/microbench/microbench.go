@@ -95,10 +95,10 @@ func suggestAttributes(b *testing.B) {
 	loop(b, func() error {
 		a, err := diff.Align(d.Src, d.Tgt)
 		if err == nil {
-			_, err = assist.SuggestCondition(a, d.Target, 1e-9)
+			_, err = assist.SuggestCondition(a, d.Target, core.ChangeTol)
 		}
 		if err == nil {
-			_, err = assist.SuggestTransformation(a, d.Target, 1e-9)
+			_, err = assist.SuggestTransformation(a, d.Target, core.ChangeTol)
 		}
 		return err
 	})
@@ -233,8 +233,8 @@ func diffChainStore(b *testing.B) (*store.Store, []string) {
 	b.Helper()
 	st, ids := commitChain(b, "", true)
 	for i := 0; i+1 < len(ids); i++ {
-		if _, native, err := st.DiffResult(ids[i], ids[i+1], 1e-9); err != nil || !native {
-			b.Fatalf("pair %d: native=%v err=%v", i, native, err)
+		if _, _, err := st.DiffResult(ids[i], ids[i+1], core.ChangeTol); err != nil {
+			b.Fatalf("pair %d: %v", i, err)
 		}
 		if _, err := st.Checkout(ids[i+1]); err != nil {
 			b.Fatal(err)
@@ -244,23 +244,21 @@ func diffChainStore(b *testing.B) (*store.Store, []string) {
 }
 
 // diffChain50 times warm change queries over every adjacent pair of a
-// 50-step delta-encoded chain. A cold query is assembled delta-natively —
-// decoded ops from the ChangeSet cache plus one shared parent table, no
-// target reconstruction, no CSV parse, no full row alignment — and the
-// finished answer is memoized (versions are immutable, so it never goes
-// stale); the warm steady state this records is the answer-cache path.
-// Compare diffChain50Align, the uncached checkout+align path answering the
-// identical queries.
+// 50-step delta-encoded chain. A cold query aligns the two versions' cached
+// tables, and the finished answer is memoized (versions are immutable, so
+// it never goes stale); the warm steady state this records is the
+// answer-cache path. Compare diffChain50Align, which aligns fresh checkouts
+// for the identical queries with no answer cache.
 func diffChain50(b *testing.B) {
 	st, ids := diffChainStore(b)
 	loop(b, func() error {
 		for j := 0; j+1 < len(ids); j++ {
-			res, native, err := st.DiffResult(ids[j], ids[j+1], 1e-9)
+			res, _, err := st.DiffResult(ids[j], ids[j+1], core.ChangeTol)
 			if err != nil {
 				return err
 			}
-			if !native || res.UpdateDistance == 0 {
-				return fmt.Errorf("pair %d: native=%v distance=%d", j, native, res.UpdateDistance)
+			if res.UpdateDistance == 0 {
+				return fmt.Errorf("pair %d: empty diff", j)
 			}
 		}
 		return nil
@@ -282,7 +280,7 @@ func diffChain50Align(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			res, err := diff.ResultFromPair(src, tgt, 1e-9)
+			res, err := diff.ResultFromPair(src, tgt, core.ChangeTol)
 			if err != nil {
 				return err
 			}

@@ -21,9 +21,8 @@
 //	GET  .../versions/{id}/csv      checkout the canonical CSV
 //	GET  .../versions/{id}/changes  the version's decoded delta ops (ChangeSet)
 //	GET  .../diff?from=&to=         removed/inserted keys, update distance, changed
-//	                                attrs (&target= for cells) — served straight
-//	                                from pack deltas when the pair is
-//	                                delta-connected, checkout+align otherwise
+//	                                attrs (&target= for cells) — the two
+//	                                checkouts aligned, answer memoized
 //	POST .../summarize              {from, to, target, alpha?, c?, t?, topk?}
 //	POST .../timeline               {head?, target?, alpha?, c?, t?, topk?} — walk
 //	                                the lineage root→head and summarize every step
@@ -573,14 +572,10 @@ func (s *Server) handleCheckout(sh *shardRef, w http.ResponseWriter, r *http.Req
 	_, _ = w.Write(blob)
 }
 
-// diffResponse is the GET .../diff body. DeltaNative reports whether the
-// answer was assembled straight from the store's delta packs (one parent
-// checkout, no target reconstruction or alignment) or through the
-// checkout+align fallback — the two paths return identical answers.
+// diffResponse is the GET .../diff body.
 type diffResponse struct {
 	From           string       `json:"from"`
 	To             string       `json:"to"`
-	DeltaNative    bool         `json:"deltaNative"`
 	UpdateDistance int          `json:"updateDistance"`
 	ChangedAttrs   []string     `json:"changedAttrs"`
 	Removed        []string     `json:"removed,omitempty"`  // keys only in from
@@ -595,17 +590,15 @@ type changeJSON struct {
 	New  string `json:"new"`
 }
 
-// diffTol is the change tolerance of GET /diff: the engine default, so a
-// diff reports the changes a summary of the same pair sees.
-const diffTol = 1e-9
-
 func (s *Server) handleDiff(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	from, to := r.URL.Query().Get("from"), r.URL.Query().Get("to")
 	if from == "" || to == "" {
 		writeError(w, errors.New("diff needs from and to"))
 		return
 	}
-	res, native, err := sh.st.DiffResult(from, to, diffTol)
+	// The engine's change tolerance, so a diff reports the changes a
+	// summary of the same pair sees.
+	res, _, err := sh.st.DiffResult(from, to, core.ChangeTol)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -615,7 +608,7 @@ func (s *Server) handleDiff(sh *shardRef, w http.ResponseWriter, r *http.Request
 		attrs = []string{}
 	}
 	resp := diffResponse{
-		From: from, To: to, DeltaNative: native,
+		From: from, To: to,
 		UpdateDistance: res.UpdateDistance, ChangedAttrs: attrs,
 		Removed: res.Removed, Inserted: res.Inserted,
 	}

@@ -457,7 +457,7 @@ func TestChangesEndpoint(t *testing.T) {
 
 // TestDiffReportsMembershipChanges pins the widened /diff semantics: a pair
 // whose entity sets differ (previously a 400) now answers with the removed
-// and inserted keys, delta-natively when the pair is delta-connected.
+// and inserted keys.
 func TestDiffReportsMembershipChanges(t *testing.T) {
 	_, ts := newTestServer(t)
 	// Enough unchanged padding rows that the delta pack beats the full pack
@@ -478,9 +478,6 @@ func TestDiffReportsMembershipChanges(t *testing.T) {
 	var d diffResponse
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
-	}
-	if !d.DeltaNative {
-		t.Error("adjacent delta pair not served delta-natively")
 	}
 	if len(d.Removed) != 1 || d.Removed[0] != "bob" {
 		t.Errorf("removed = %v, want [bob]", d.Removed)

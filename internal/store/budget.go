@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"charles/internal/diff"
 	"charles/internal/table"
 )
 
@@ -171,25 +172,22 @@ func changeSetBytes(cs *ChangeSet) int64 {
 	return n
 }
 
-func diffAnswerBytes(a *diffAnswer) int64 {
+func diffResultBytes(r *diff.Result) int64 {
 	const strOverhead = 16
 	n := int64(128)
-	if a.res == nil {
-		return n
-	}
-	for _, c := range a.res.Columns {
+	for _, c := range r.Columns {
 		n += int64(len(c)) + strOverhead
 	}
-	for _, k := range a.res.Removed {
+	for _, k := range r.Removed {
 		n += int64(len(k)) + strOverhead
 	}
-	for _, k := range a.res.Inserted {
+	for _, k := range r.Inserted {
 		n += int64(len(k)) + strOverhead
 	}
-	for _, ch := range a.res.Changes {
+	for _, ch := range r.Changes {
 		n += int64(len(ch.Key)) + int64(len(ch.Attr)) + 2*strOverhead + 64
 	}
-	for _, c := range a.res.ChangedAttrs {
+	for _, c := range r.ChangedAttrs {
 		n += int64(len(c)) + strOverhead
 	}
 	return n

@@ -9,11 +9,42 @@ import (
 )
 
 // ChangeSet is the first-class decoded-delta surface of one version: the
-// exact row-level ops (removed keys, inserted rows, cell patches) its delta
-// pack persists, or Materialized=true for versions stored as full snapshots
-// (anchors, roots, full-pack fallbacks). It is diff.ChangeSet, so the diff
-// layer can answer change queries from it without importing the store.
-type ChangeSet = diff.ChangeSet
+// exact row-level ops its delta pack persists — removed keys, inserted rows
+// and cell patches, addressed by the encoded primary key (table.EncodeKey
+// encoding) with cell texts in canonical CSV form. Versions stored as full
+// snapshots (anchors, roots, full-pack fallbacks) have no ops and set
+// Materialized instead.
+type ChangeSet struct {
+	// Version is the snapshot the ops produce.
+	Version string
+	// Base is the snapshot the ops apply to ("" for materialized versions).
+	Base string
+	// Materialized marks versions stored whole: no delta ops exist.
+	Materialized bool
+	// Columns names the canonical header in schema order; patch and insert
+	// cell indices refer to it. Changes fills it; the cached bare set
+	// leaves it empty.
+	Columns []string
+
+	Removed  []string      // encoded keys deleted from the base, key-sorted
+	Inserted []InsertedRow // rows whose key is absent from the base, key-sorted
+	Patched  []RowPatch    // cell rewrites of rows present in both, key-sorted
+}
+
+// InsertedRow is one inserted row: its encoded key and the full record in
+// canonical column order.
+type InsertedRow struct {
+	Key   string
+	Cells []string
+}
+
+// RowPatch is one patched row: the changed column indices (canonical order)
+// and the new cell texts, parallel slices.
+type RowPatch struct {
+	Key  string
+	Cols []int
+	Vals []string
+}
 
 // changeSetFor returns id's decoded ops through the change-set LRU. The
 // returned set is shared and must not be mutated; Columns is left empty
@@ -82,9 +113,9 @@ func (s *Store) decodeChangeSet(id string) (*ChangeSet, error) {
 		case '-':
 			cs.Removed = append(cs.Removed, op.key)
 		case '+':
-			cs.Inserted = append(cs.Inserted, diff.InsertedRow{Key: op.key, Cells: op.row})
+			cs.Inserted = append(cs.Inserted, InsertedRow{Key: op.key, Cells: op.row})
 		case '~':
-			cs.Patched = append(cs.Patched, diff.RowPatch{Key: op.key, Cols: op.cols, Vals: op.vals})
+			cs.Patched = append(cs.Patched, RowPatch{Key: op.key, Cols: op.cols, Vals: op.vals})
 		}
 	}
 	return cs, nil
@@ -138,102 +169,36 @@ func (s *Store) Changes(id string) (*ChangeSet, error) {
 	return &out, nil
 }
 
-// deltaPath reports whether toID is reachable from fromID through delta
-// packs alone (every hop a delta, no anchor in between) and returns the hop
-// ids oldest-first. fromID == toID is trivially connected with no hops.
-func (s *Store) deltaPath(fromID, toID string) ([]string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var hops []string
-	cur := toID
-	for cur != fromID {
-		pi := s.packs[cur]
-		if pi == nil || pi.Kind != packDelta || pi.Base == "" || len(hops) > len(s.packs) {
-			return nil, false
-		}
-		hops = append(hops, cur)
-		cur = pi.Base
-	}
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
-	}
-	return hops, true
-}
-
 // DiffResult answers a change query between two stored versions: removed and
 // inserted entities plus every modified cell, compared with the given
-// absolute tolerance. When toID is delta-connected to fromID (every pack on
-// the path is a delta), the answer is assembled straight from the decoded
-// delta ops and one checkout of fromID — no reconstruction or parse of toID,
-// no full row alignment — and deltaNative reports true. Otherwise (anchor on
-// the path, diff against an ancestor's ancestor across an anchor, unrelated
-// versions, or ops the delta evaluator cannot faithfully answer) it falls
-// back to the checkout+align path, which returns the bit-identical result
-// on every schema-stable pair (see diff.ResultFromChangeSets for the one
-// deliberate asymmetry: type-narrowing deltas are answered delta-natively
-// under the source schema, where the align path refuses the pair).
-// Answers are memoized in an LRU keyed (from, to, tol) — version content is
-// immutable, so a computed answer never goes stale and a repeated query is a
-// cache hit. The returned Result is shared: callers must not mutate it.
-func (s *Store) DiffResult(fromID, toID string, tol float64) (res *diff.Result, deltaNative bool, err error) {
+// absolute tolerance. It is diff.ResultFromPair over the two versions'
+// decoded tables, so the answer does not depend on how the store packed
+// them; a pair ResultFromPair refuses (different schemas) is refused here
+// too. The target's table comes from a hash-verified blob, so a tampered
+// pack errors instead of yielding an answer. Answers are memoized in an LRU
+// keyed (from, to, tol) — version content is immutable, so a computed
+// answer never goes stale and a repeated query is a cache hit. The returned
+// Result is shared: callers must not mutate it. The bool result is always
+// false. It reported an answer built from delta ops; that path is gone, and
+// the result stays until its last reader, the benchmark's replay, stops
+// asking for it.
+func (s *Store) DiffResult(fromID, toID string, tol float64) (*diff.Result, bool, error) {
 	if _, err := s.Get(fromID); err != nil {
 		return nil, false, err
 	}
 	if _, err := s.Get(toID); err != nil {
 		return nil, false, err
 	}
-	ans, _, err := s.results.Do(fmt.Sprintf("%s|%s|%g", fromID, toID, tol), func() (*diffAnswer, error) {
-		return s.answerDiff(fromID, toID, tol)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return ans.res, ans.native, nil
-}
-
-// answerDiff computes one change query for DiffResult (a diff-answer LRU
-// fill).
-func (s *Store) answerDiff(fromID, toID string, tol float64) (*diffAnswer, error) {
-	if hops, ok := s.deltaPath(fromID, toID); ok {
-		sets := make([]*ChangeSet, len(hops))
-		for i, id := range hops {
-			var err error
-			if sets[i], err = s.changeSetFor(id); err != nil {
-				return nil, err
-			}
-		}
-		parent, err := s.tableFor(fromID)
+	res, _, err := s.results.Do(fmt.Sprintf("%s|%s|%g", fromID, toID, tol), func() (*diff.Result, error) {
+		src, err := s.tableFor(fromID)
 		if err != nil {
 			return nil, err
 		}
-		if res, rerr := diff.ResultFromChangeSets(parent, sets, tol); rerr == nil {
-			// Trust the ops only once toID's reconstruction has been
-			// content-verified: blobFor re-hashes the blob the very ops on
-			// this path compose into, so a decodable-but-tampered delta
-			// pack errors here exactly as it would on Checkout instead of
-			// slipping a fabricated answer through. The blob LRU makes
-			// this a cache hit on warm stores and a one-time (parse-free)
-			// check on cold ones.
-			if _, verr := s.blobFor(toID); verr != nil {
-				return nil, verr
-			}
-			return &diffAnswer{res: res, native: true}, nil
+		tgt, err := s.tableFor(toID)
+		if err != nil {
+			return nil, err
 		}
-		// Not answerable from deltas (non-canonical cells, compose
-		// anomaly): the align path below re-derives the answer from the
-		// materialized snapshots and surfaces any real corruption.
-	}
-	src, err := s.tableFor(fromID)
-	if err != nil {
-		return nil, err
-	}
-	tgt, err := s.tableFor(toID)
-	if err != nil {
-		return nil, err
-	}
-	res, err := diff.ResultFromPair(src, tgt, tol)
-	if err != nil {
-		return nil, err
-	}
-	return &diffAnswer{res: res}, nil
+		return diff.ResultFromPair(src, tgt, tol)
+	})
+	return res, false, err
 }

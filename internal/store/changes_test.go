@@ -78,15 +78,16 @@ func TestChangesDecodesOps(t *testing.T) {
 	}
 }
 
-// TestDiffResultDeltaVsAlignFuzz is the 5-seed differential batch: on random
-// mutation chains (cell edits, inserts, deletes, adversarial string cells),
-// the delta-native answer must be bit-identical to the checkout+align
-// answer for every version pair — adjacent pairs, multi-hop delta-connected
-// pairs, anchor-crossing pairs (align fallback), reversed pairs, and the
-// trivial self-pair.
-func TestDiffResultDeltaVsAlignFuzz(t *testing.T) {
+// TestDiffResultMatchesAlignFuzz is the 5-seed differential batch: on
+// random mutation chains (cell edits, inserts, deletes, adversarial string
+// cells), DiffResult must equal ResultFromPair over the two checkouts for
+// every version pair — adjacent, multi-hop, anchor-crossing, reversed and
+// the self-pair — both on the store that committed the chain and on a
+// freshly reopened on-disk copy, whose caches start cold.
+func TestDiffResultMatchesAlignFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		s, err := OpenWith("", Options{AnchorEvery: 4, TableCache: 64})
+		opts := Options{AnchorEvery: 4, TableCache: 64}
+		s, err := OpenWith("", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,13 +96,40 @@ func TestDiffResultDeltaVsAlignFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := commitChain(t, s, snaps)
-		native, fallback := 0, 0
+		dir := t.TempDir()
+		disk, err := OpenWith(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diskIDs := commitChain(t, disk, snaps); !reflect.DeepEqual(diskIDs, ids) {
+			t.Fatalf("seed %d: on-disk ids %v differ from %v", seed, diskIDs, ids)
+		}
+		if err := disk.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenWith(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores := map[string]*Store{"memory": s, "reopened": reopened}
+		check := func(from, to int, src, tgt *table.Table) {
+			t.Helper()
+			want, err := diff.ResultFromPair(src, tgt, 1e-9)
+			if err != nil {
+				t.Fatalf("seed %d: reference(%d,%d): %v", seed, from, to, err)
+			}
+			for name, st := range stores {
+				got, _, err := st.DiffResult(ids[from], ids[to], 1e-9)
+				if err != nil {
+					t.Fatalf("seed %d: %s DiffResult(%d,%d): %v", seed, name, from, to, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s pair (%d,%d) differs\ngot:  %+v\nwant: %+v", seed, name, from, to, got, want)
+				}
+			}
+		}
 		for i := 0; i < len(ids); i++ {
 			for j := i; j < len(ids); j++ {
-				got, viaDelta, err := s.DiffResult(ids[i], ids[j], 1e-9)
-				if err != nil {
-					t.Fatalf("seed %d: DiffResult(%d,%d): %v", seed, i, j, err)
-				}
 				src, err := s.Checkout(ids[i])
 				if err != nil {
 					t.Fatal(err)
@@ -110,49 +138,83 @@ func TestDiffResultDeltaVsAlignFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := diff.ResultFromPair(src, tgt, 1e-9)
-				if err != nil {
-					t.Fatalf("seed %d: reference(%d,%d): %v", seed, i, j, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: pair (%d,%d) delta=%v differs\ngot:  %+v\nwant: %+v",
-						seed, i, j, viaDelta, got, want)
-				}
-				if viaDelta {
-					native++
-				} else if i != j {
-					fallback++
-				}
-				// Reversed direction is never delta-connected (deltas point
-				// child→parent) but must agree with its own reference.
+				check(i, j, src, tgt)
 				if j == i+1 {
-					rev, viaDelta, err := s.DiffResult(ids[j], ids[i], 1e-9)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if viaDelta {
-						t.Fatalf("seed %d: reverse pair (%d,%d) claimed delta-native", seed, j, i)
-					}
-					wantRev, err := diff.ResultFromPair(tgt, src, 1e-9)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(rev, wantRev) {
-						t.Fatalf("seed %d: reverse pair (%d,%d) differs", seed, j, i)
-					}
+					check(j, i, tgt, src)
 				}
 			}
 		}
-		if native == 0 || fallback == 0 {
-			t.Fatalf("seed %d: exercised %d delta-native and %d fallback pairs; want both paths covered",
-				seed, native, fallback)
+	}
+}
+
+// TestDiffResultIndependentOfPackLayout commits the same snapshots to a
+// store that delta-packs them (AnchorEvery 8) and to one that stores every
+// version whole (AnchorEvery 1): every pair must get the same answer, or
+// the same error, from both. One chain narrows a column's type — its only
+// fractional cell becomes integral, so the checkout infers int where the
+// parent's inferred float — and align refuses that pair on both layouts.
+func TestDiffResultIndependentOfPackLayout(t *testing.T) {
+	schema := table.Schema{{Name: "id", Type: table.String}, {Name: "x", Type: table.Float}}
+	narrowing := []*table.Table{table.MustNew(schema)}
+	for i := 0; i < 200; i++ {
+		narrowing[0].MustAppendRow(table.S(fmt.Sprintf("k%03d", i)), table.F(float64(i%7)))
+	}
+	if err := narrowing[0].MustColumn("x").Set(0, table.F(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := narrowing[0].SetKey("id"); err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []struct {
+		row int
+		x   float64
+	}{{0, 1}, {5, 9}, {7, 2.5}} {
+		next := narrowing[len(narrowing)-1].Clone()
+		if err := next.MustColumn("x").Set(edit.row, table.F(edit.x)); err != nil {
+			t.Fatal(err)
+		}
+		narrowing = append(narrowing, next)
+	}
+	fuzzed, err := gen.MutateChain(gen.FuzzConfig{N: 30, Steps: 8, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snaps := range map[string][]*table.Table{"narrowing": narrowing, "fuzzed": fuzzed} {
+		deltas, err := OpenWith("", Options{AnchorEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := OpenWith("", Options{AnchorEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := commitChain(t, deltas, snaps)
+		commitChain(t, full, snaps)
+		if d, f := deltas.Stats().DeltaPacks, full.Stats().DeltaPacks; d == 0 || f != 0 {
+			t.Fatalf("%s: delta packs = %d (AnchorEvery 8) and %d (AnchorEvery 1); want some and none", name, d, f)
+		}
+		refused := 0
+		for i := range ids {
+			for j := range ids {
+				a, _, aerr := deltas.DiffResult(ids[i], ids[j], 1e-9)
+				b, _, berr := full.DiffResult(ids[i], ids[j], 1e-9)
+				if fmt.Sprint(aerr) != fmt.Sprint(berr) || !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: pair (%d,%d) depends on the layout\ndeltas: %+v, %v\nfull:   %+v, %v", name, i, j, a, aerr, b, berr)
+				}
+				if errors.Is(aerr, diff.ErrSchemaMismatch) {
+					refused++
+				}
+			}
+		}
+		if name == "narrowing" && refused == 0 {
+			t.Fatal("narrowing: no pair was refused; the chain no longer narrows a type")
 		}
 	}
 }
 
 // TestDiffResultCRFallback pins the full-pack fallback: CR-bearing blobs are
-// stored whole (no deltas exist), so change queries take the align path —
-// and still answer correctly.
+// stored whole (no deltas exist), and change queries still answer
+// correctly.
 func TestDiffResultCRFallback(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -187,12 +249,9 @@ func TestDiffResultCRFallback(t *testing.T) {
 	if !cs.Materialized {
 		t.Error("CR-forced full pack should report Materialized")
 	}
-	res, native, err := s.DiffResult(v1.ID, v2.ID, 1e-9)
+	res, _, err := s.DiffResult(v1.ID, v2.ID, 1e-9)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if native {
-		t.Error("full-pack pair claimed delta-native")
 	}
 	if res.UpdateDistance != 1 || res.Changes[0].Key != "b" {
 		t.Errorf("fallback result = %+v", res)
@@ -201,7 +260,7 @@ func TestDiffResultCRFallback(t *testing.T) {
 
 // TestDeltaEncodingWithSeparatorKeys is the store half of the key-aliasing
 // regression: multi-column keys whose cells contain table.KeySep must still
-// delta-encode and answer delta-native change queries correctly.
+// delta-encode and answer change queries correctly.
 func TestDeltaEncodingWithSeparatorKeys(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -245,7 +304,7 @@ func TestDeltaEncodingWithSeparatorKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, native, err := s.DiffResult(v1.ID, v2.ID, 1e-9)
+	res, _, err := s.DiffResult(v1.ID, v2.ID, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +312,8 @@ func TestDeltaEncodingWithSeparatorKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !native || !reflect.DeepEqual(res, want) {
-		t.Fatalf("delta-native diff over separator keys: native=%v\ngot:  %+v\nwant: %+v", native, res, want)
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("diff over separator keys\ngot:  %+v\nwant: %+v", res, want)
 	}
 	if res.UpdateDistance != 1 {
 		t.Errorf("update distance = %d, want 1", res.UpdateDistance)
@@ -398,7 +457,7 @@ func TestDecodeErrorsAreTypedCorruption(t *testing.T) {
 }
 
 // TestDiffResultSelfPair pins the trivial case: a version diffed against
-// itself is empty and delta-native.
+// itself is empty.
 func TestDiffResultSelfPair(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -409,22 +468,22 @@ func TestDiffResultSelfPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := commitChain(t, s, snaps)
-	res, native, err := s.DiffResult(ids[0], ids[0], 1e-9)
+	res, _, err := s.DiffResult(ids[0], ids[0], 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !native || res.UpdateDistance != 0 || len(res.Removed)+len(res.Inserted) != 0 {
-		t.Fatalf("self diff = %+v (native %v)", res, native)
+	if res.UpdateDistance != 0 || len(res.Removed)+len(res.Inserted) != 0 {
+		t.Fatalf("self diff = %+v", res)
 	}
 	if _, _, err := s.DiffResult("nope", ids[0], 1e-9); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown from: err = %v", err)
 	}
 }
 
-// TestDiffResultRejectsTamperedOps pins the tamper gate on the delta-native
-// path: a delta pack that still decodes but whose op values were altered
-// must error like every other read path (the reconstruction no longer
-// hashes to the content id), not serve a fabricated answer.
+// TestDiffResultRejectsTamperedOps pins the tamper gate on change queries:
+// a delta pack that still decodes but whose op values were altered must
+// error like every other read path (the reconstruction no longer hashes to
+// the content id), not serve a fabricated answer.
 func TestDiffResultRejectsTamperedOps(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

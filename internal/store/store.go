@@ -15,6 +15,11 @@
 // parses each snapshot at most once. Stores written by the legacy
 // one-CSV-per-version layout are migrated to packs transparently on Open.
 //
+// Changes serves a version's decoded delta ops (its ChangeSet). A change
+// query between any two versions (DiffResult) aligns their checkouts, so
+// its answer does not depend on how the versions were packed; answers are
+// memoized.
+//
 // A Store is safe for concurrent use: reads (Checkout, Get, Log, Lineage,
 // Diff, Summarize) take a shared lock, Commit takes an exclusive lock, and
 // the expensive summarization engine runs outside the lock entirely — so a
@@ -166,7 +171,7 @@ type Store struct {
 	tables  *Cache[*table.Table] // decoded-table LRU behind Checkout
 	blobs   *Cache[[]byte]       // reconstructed-blob LRU behind Blob
 	changes *Cache[*ChangeSet]   // decoded delta-op LRU behind Changes
-	results *Cache[*diffAnswer]  // change-query LRU behind DiffResult
+	results *Cache[*diff.Result] // change-query LRU behind DiffResult
 	parses  atomic.Int64         // CSV parses performed (table-cache fills)
 	closed  atomic.Bool          // set by Close; guard() rejects further ops
 
@@ -178,13 +183,6 @@ type Store struct {
 	// off-lock encode phase — the seam the cross-shard concurrency pin
 	// uses to hold one shard's commit mid-flight while another completes.
 	testCommitHook func()
-}
-
-// diffAnswer is one memoized change query: versions are immutable once
-// committed, so a (from, to, tol) answer never goes stale.
-type diffAnswer struct {
-	res    *diff.Result
-	native bool
 }
 
 // Open creates a store with default options. With a non-empty dir, existing
@@ -204,7 +202,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		tables:   NewCache(opts.TableCache, tableBytes, opts.Budget),
 		blobs:    NewCache(opts.TableCache, blobBytes, opts.Budget),
 		changes:  NewCache(opts.TableCache, changeSetBytes, opts.Budget),
-		results:  NewCache(opts.TableCache, diffAnswerBytes, opts.Budget),
+		results:  NewCache(opts.TableCache, diffResultBytes, opts.Budget),
 	}
 	if dir == "" {
 		s.mem = map[string][]byte{}
@@ -687,8 +685,8 @@ func (s *Store) Blob(id string) ([]byte, error) {
 // tableFor returns id's decoded table through the table LRU, parsing (and
 // caching) it on a miss; concurrent misses on one id parse it once. The
 // returned table is the cache's shared instance: callers must treat it as
-// strictly read-only (Checkout clones it before handing it out; the
-// delta-native diff path reads it in place).
+// strictly read-only (Checkout clones it before handing it out; DiffResult
+// reads it in place).
 func (s *Store) tableFor(id string) (*table.Table, error) {
 	t, _, err := s.tables.Do(id, func() (*table.Table, error) {
 		v, err := s.Get(id)

@@ -18,7 +18,8 @@ type VersionStore = store.Store
 // Version describes one committed snapshot in a VersionStore.
 type Version = store.Version
 
-// StoreOptions tune a version store's anchor interval and checkout cache.
+// StoreOptions tune a version store's anchor interval and checkout cache;
+// HubOptions.Store applies them to every shard of a hub.
 type StoreOptions = store.Options
 
 // StoreStats reports a store's pack storage and checkout-cache counters.
@@ -49,11 +50,6 @@ var ErrCorruptStore = store.ErrCorruptStore
 // pack layout on open.
 func OpenStore(dir string) (*VersionStore, error) { return store.Open(dir) }
 
-// OpenStoreWith is OpenStore with explicit anchor-interval / cache tuning.
-func OpenStoreWith(dir string, opts StoreOptions) (*VersionStore, error) {
-	return store.OpenWith(dir, opts)
-}
-
 // ChangeSet is one version's decoded delta ops — removed keys, inserted
 // rows, cell patches against its parent — served straight from the store's
 // delta packs by VersionStore.Changes. Versions stored as full snapshots
@@ -62,17 +58,20 @@ type ChangeSet = store.ChangeSet
 
 // DiffResult is the answer to a change query between two snapshots: removed
 // and inserted entity keys plus every modified cell of the common entities.
-// VersionStore.DiffResult assembles it straight from delta packs when the
-// two versions are delta-connected, and from a checkout+align pass
-// otherwise — bit-identically.
+// DiffSnapshots computes it for two in-memory snapshots, and
+// VersionStore.DiffResult for two stored versions by the same computation
+// over their checkouts, so the answer does not depend on how the store
+// packed them.
 type DiffResult = diff.Result
 
 // KeyedChange is one modified cell of a DiffResult, addressed by entity key.
 type KeyedChange = diff.KeyedChange
 
-// DiffSnapshots answers a change query between two in-memory snapshots the
-// align-based way (the reference semantics of VersionStore.DiffResult):
-// removed/inserted keys plus modified cells at the given absolute tolerance.
+// DiffSnapshots answers a change query between two in-memory snapshots:
+// align them on their common entities and list removed/inserted keys plus
+// modified cells at the given absolute tolerance. Snapshots with different
+// schemas are refused. VersionStore.DiffResult gives the same answer for
+// two stored versions.
 func DiffSnapshots(src, tgt *Table, tol float64) (*DiffResult, error) {
 	return diff.ResultFromPair(src, tgt, tol)
 }
@@ -119,17 +118,12 @@ type HubCommitNote = store.HubCommitNote
 type HubSubscription = store.HubSubscription
 
 // Predicate is a conjunctive condition over table attributes — the
-// condition half of a CT, also usable standalone for filtering.
+// condition half of a CT (CT.Cond).
 type Predicate = predicate.Predicate
 
-// ParseCondition parses a textual condition ("edu = PhD && exp >= 3")
-// against a table's schema into a Predicate. The grammar matches what the
-// engine itself prints: conjunctions of =, !=, <, >=, and in(...) atoms.
-func ParseCondition(input string, schema *Table) (Predicate, error) {
-	return predicate.Parse(input, schema)
-}
-
-// FilterTable returns the rows of t matching a textual condition.
+// FilterTable returns the rows of t matching a textual condition
+// ("edu = PhD && exp >= 3"). The grammar matches what the engine itself
+// prints: conjunctions of =, !=, <, >=, and in(...) atoms.
 func FilterTable(t *Table, condition string) (*Table, error) {
 	p, err := predicate.Parse(condition, t)
 	if err != nil {
@@ -146,7 +140,7 @@ func FilterTable(t *Table, condition string) (*Table, error) {
 // tenant/dataset pair addresses an independent pack store (a shard) under
 // one root directory. Shards open lazily, idle ones are closed LRU-first
 // past the MaxOpen soft cap, and all shards' checkout/blob/change-set/
-// diff-result caches charge one shared MemoryBudget. Commits to different
+// diff-result caches charge one shared byte budget. Commits to different
 // shards never block each other.
 type StoreHub = store.Hub
 
@@ -165,17 +159,9 @@ type ShardStats = store.ShardStats
 // DatasetRef addresses one shard of a hub.
 type DatasetRef = store.DatasetRef
 
-// MemoryBudget is a shared byte budget with one global recency order
-// across every cache charging it; see NewMemoryBudget.
-type MemoryBudget = store.Budget
-
-// BudgetStats snapshots a MemoryBudget's accounting.
+// BudgetStats snapshots the accounting of a hub's shared byte budget
+// (HubOptions.MemoryBudget).
 type BudgetStats = store.BudgetStats
-
-// NewMemoryBudget makes a budget of capBytes (nil — unlimited — when
-// capBytes <= 0). StoreOptions.Budget accepts it directly; OpenHub wires
-// one from HubOptions.MemoryBudget.
-func NewMemoryBudget(capBytes int64) *MemoryBudget { return store.NewBudget(capBytes) }
 
 // ErrStoreClosed is returned by every operation on a store after Close —
 // including operations on a hub shard whose store was evicted.
