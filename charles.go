@@ -92,9 +92,6 @@ var (
 	B = table.B
 )
 
-// NewTable creates an empty table with the given schema.
-func NewTable(schema Schema) (*Table, error) { return table.New(schema) }
-
 // DefaultOptions returns the engine defaults used in the paper's demo:
 // c = 3, t = 2, α = 0.5, top-10 summaries.
 func DefaultOptions(target string) Options { return core.DefaultOptions(target) }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"charles/internal/core"
+	"charles/internal/csvio"
 	"charles/internal/score"
+	"charles/internal/table"
 )
 
 // TestPublicAPIEndToEnd exercises the full public surface the way the
@@ -66,15 +68,15 @@ func TestPublicCSVRoundTrip(t *testing.T) {
 	}
 	// And the whole pipeline still works on the reloaded tables.
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, back); err != nil {
+	if err := csvio.Write(&buf, back); err != nil {
 		t.Fatal(err)
 	}
-	reread, err := ReadCSV(&buf, "name")
+	reread, err := csvio.Read(&buf, csvio.Options{Key: []string{"name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reread.NumRows() != 9 {
-		t.Errorf("ReadCSV rows = %d", reread.NumRows())
+		t.Errorf("csvio.Read rows = %d", reread.NumRows())
 	}
 }
 
@@ -101,7 +103,7 @@ func TestPublicChangesAndAlign(t *testing.T) {
 }
 
 func TestPublicTableConstruction(t *testing.T) {
-	tbl, err := NewTable(Schema{
+	tbl, err := table.New(Schema{
 		{Name: "id", Type: Int},
 		{Name: "x", Type: Float},
 		{Name: "s", Type: String},

@@ -428,8 +428,8 @@ func driveLiveLoad(base string, concurrency int, duration time.Duration) (Loadte
 			_, _ = io.Copy(io.Discard, wresp.Body)
 			wresp.Body.Close()
 			classify(wresp.StatusCode)
-			// The warm head-relative answer: assembled from the maintained
-			// timeline, memoized per head — no chain walk.
+			// The warm head-relative answer: the live shard's, built from
+			// its maintained timeline — no chain walk.
 			tresp, err := client.Post(base+"/timeline", "application/json", bytes.NewReader([]byte("{}")))
 			if err != nil {
 				return LoadtestResult{}, fmt.Errorf("timeline after commit %d: %w", i, err)

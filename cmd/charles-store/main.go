@@ -514,21 +514,25 @@ func followOnce(w io.Writer, st *charles.VersionStore, m *charles.TimelineMainta
 		fmt.Fprint(w, next.Timeline().Render())
 		return next, hv.ID
 	}
-	for _, id := range ids[slices.Index(ids, m.Head())+1:] {
-		renderNewStep(w, next, id)
+	mt := next.Timeline()
+	for k := slices.Index(ids, m.Head()) + 1; k < len(ids); k++ {
+		renderNewStep(w, mt, ids[k], k)
 	}
 	return next, hv.ID
 }
 
-// renderNewStep prints the maintained step ending at id: one block per
-// attribute with its top summary's CTs, plus the drift note when the step's
-// policy moved against the previous one.
-func renderNewStep(w io.Writer, m *charles.TimelineMaintainer, id string) {
-	mt, _, _ := m.TimelineAt(id)
-	fmt.Fprintf(w, "\n[%s] step %d\n", id, mt.Steps)
+// renderNewStep prints step k of mt, the step ending at version id: one
+// block per attribute that has changed by then, with its top summary's CTs,
+// plus the drift note when the step's policy moved against the previous
+// one.
+func renderNewStep(w io.Writer, mt *charles.MultiTimeline, id string, k int) {
+	fmt.Fprintf(w, "\n[%s] step %d\n", id, k)
 	for _, attr := range mt.Attrs {
 		tl := mt.Timelines[attr]
-		s := tl.Steps[len(tl.Steps)-1]
+		if !tl.ChangedBy(k) {
+			continue
+		}
+		s := tl.Steps[k-1]
 		switch {
 		case s.NoChange:
 			fmt.Fprintf(w, "  %s: (no change)\n", attr)
@@ -540,10 +544,8 @@ func renderNewStep(w io.Writer, m *charles.TimelineMaintainer, id string) {
 			for _, ct := range top.Summary.CTs {
 				fmt.Fprintf(w, "    %s\n", ct)
 			}
-			for _, d := range tl.Drifts() {
-				if d.StepB == len(tl.Steps)-1 {
-					fmt.Fprintf(w, "    drift vs step %d: %s\n", d.StepA, d.Note)
-				}
+			if k > 1 {
+				fmt.Fprintf(w, "    drift vs step %d: %s\n", k-2, tl.DriftAt(k-2).Note)
 			}
 		}
 	}

@@ -32,11 +32,6 @@ func MontgomeryDataset(seed int64, n int) (*Dataset, error) { return gen.Montgom
 // sector-conditioned net-worth growth.
 func BillionairesDataset(seed int64, n int) (*Dataset, error) { return gen.Billionaires(seed, n) }
 
-// NonlinearDataset evolves a synthetic table under log- and square-feature
-// policies; recoverable exactly only with Options.Nonlinear (the extension
-// sketched in the paper's limitations section).
-func NonlinearDataset(seed int64, n int) (*Dataset, error) { return gen.PlantedNonlinear(seed, n) }
-
 // ChainConfig parameterizes the multi-step, multi-target chain generator.
 type ChainConfig = gen.ChainConfig
 

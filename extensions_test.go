@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"charles/internal/gen"
 )
 
 func TestSummarizeAllMontgomery(t *testing.T) {
@@ -88,7 +90,7 @@ func TestSummarizeTimelinePublic(t *testing.T) {
 }
 
 func TestNonlinearPublicOption(t *testing.T) {
-	d, err := NonlinearDataset(31, 600)
+	d, err := gen.PlantedNonlinear(31, 600)
 	if err != nil {
 		t.Fatal(err)
 	}

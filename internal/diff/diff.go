@@ -23,6 +23,24 @@ var (
 	ErrEntityMismatch = errors.New("diff: source and target contain different entities")
 )
 
+// schemaMismatch returns nil when the schemas agree, and otherwise
+// ErrSchemaMismatch saying what differs first: the two column counts, or
+// the first column whose name or type differs.
+func schemaMismatch(src, tgt table.Schema) error {
+	if len(src) != len(tgt) {
+		return fmt.Errorf("%w: %d source columns vs %d target columns", ErrSchemaMismatch, len(src), len(tgt))
+	}
+	for i, f := range src {
+		switch g := tgt[i]; {
+		case f.Name != g.Name:
+			return fmt.Errorf("%w: column %d is %q in the source and %q in the target", ErrSchemaMismatch, i, f.Name, g.Name)
+		case f.Type != g.Type:
+			return fmt.Errorf("%w: column %q is %s in the source and %s in the target", ErrSchemaMismatch, f.Name, f.Type, g.Type)
+		}
+	}
+	return nil
+}
+
 // Aligned is a pair of snapshots whose rows have been matched by primary
 // key. Row r of Source corresponds to row TgtRow[r] of Target.
 type Aligned struct {
@@ -40,8 +58,8 @@ type Aligned struct {
 // goroutines concurrently (the parallel timeline aligns a shared middle
 // snapshot as the target of one step and the source of the next).
 func Align(src, tgt *table.Table) (*Aligned, error) {
-	if !src.Schema().Equal(tgt.Schema()) {
-		return nil, ErrSchemaMismatch
+	if err := schemaMismatch(src.Schema(), tgt.Schema()); err != nil {
+		return nil, err
 	}
 	key := src.Key()
 	if len(key) == 0 {
@@ -152,8 +170,8 @@ type CommonAlignment struct {
 // never mutates its inputs (the gathered common-entity tables the result
 // embeds are private copies).
 func AlignCommon(src, tgt *table.Table) (*CommonAlignment, error) {
-	if !src.Schema().Equal(tgt.Schema()) {
-		return nil, ErrSchemaMismatch
+	if err := schemaMismatch(src.Schema(), tgt.Schema()); err != nil {
+		return nil, err
 	}
 	key := src.Key()
 	if len(key) == 0 {

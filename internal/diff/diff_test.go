@@ -48,11 +48,35 @@ func TestAlignMatchesPermutedRows(t *testing.T) {
 	}
 }
 
+// TestAlignSchemaMismatch pins the refusal of a pair whose schemas differ,
+// by Align and AlignCommon alike: ErrSchemaMismatch, saying the two column
+// counts or the first column whose type differs (x inferred float in one
+// checkout and int in the other, as a delta can narrow it).
 func TestAlignSchemaMismatch(t *testing.T) {
 	src, _ := snapshotPair(t)
 	other := table.MustNew(table.Schema{{Name: "id", Type: table.Int}})
 	if _, err := Align(src, other); !errors.Is(err, ErrSchemaMismatch) {
 		t.Errorf("err = %v, want ErrSchemaMismatch", err)
+	}
+	wide := table.MustNew(table.Schema{{Name: "id", Type: table.Int}, {Name: "x", Type: table.Float}})
+	narrow := table.MustNew(table.Schema{{Name: "id", Type: table.Int}, {Name: "x", Type: table.Int}})
+	if err := wide.SetKey("id"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src, tgt *table.Table
+		want     string
+	}{
+		{src, other, "diff: source and target schemas differ: 3 source columns vs 1 target columns"},
+		{wide, narrow, `diff: source and target schemas differ: column "x" is float in the source and int in the target`},
+	} {
+		_, err := Align(c.src, c.tgt)
+		_, errCommon := AlignCommon(c.src, c.tgt)
+		for _, e := range []error{err, errCommon} {
+			if !errors.Is(e, ErrSchemaMismatch) || e.Error() != c.want {
+				t.Errorf("err = %v, want ErrSchemaMismatch reading %q", e, c.want)
+			}
+		}
 	}
 }
 

@@ -49,6 +49,18 @@ type Timeline struct {
 	Steps  []Step
 }
 
+// ChangedBy reports whether a step before k summarized the attribute, that
+// is, whether it changed by step k. A walk of the first k steps over every
+// changed attribute lists exactly the attributes for which it holds.
+func (tl *Timeline) ChangedBy(k int) bool {
+	for _, s := range tl.Steps[:k] {
+		if len(s.Ranked) > 0 || !s.NoChange {
+			return true
+		}
+	}
+	return false
+}
+
 // MultiTimeline is the summarized evolution of every changed numeric
 // attribute across a snapshot sequence — the batch form of Timeline.
 type MultiTimeline struct {
@@ -348,43 +360,48 @@ type Drift struct {
 	Note string
 }
 
-// Drifts compares the top summary of each step against the next step's:
-// stable policies (same conditions, same constants) read as "policy held",
-// same conditions with new constants read as "rates changed", and different
-// conditions read as "policy restructured".
+// Drifts returns DriftAt of every pair of adjacent steps, in step order.
 func (tl *Timeline) Drifts() []Drift {
 	var out []Drift
 	for i := 0; i+1 < len(tl.Steps); i++ {
-		a, b := tl.Steps[i], tl.Steps[i+1]
-		d := Drift{StepA: i, StepB: i + 1}
-		switch {
-		case a.NoChange && b.NoChange:
-			d.SamePartitioning = true
-			d.Note = "no change in either step"
-		case a.NoChange != b.NoChange:
-			d.Note = "change activity toggled"
-		default:
-			sa, sb := a.Top(), b.Top()
-			// A change step can come back with nothing ranked (an engine run
-			// whose every candidate was filtered); without a summary there is
-			// no policy to compare, so say so instead of dereferencing nil.
-			if sa == nil || sb == nil {
-				d.Note = "no summary recovered"
-				break
-			}
-			d.SamePartitioning = samePartitioning(sa, sb)
-			switch {
-			case sa.Fingerprint() == sb.Fingerprint():
-				d.Note = "policy held exactly"
-			case d.SamePartitioning:
-				d.Note = "same partitions, constants changed"
-			default:
-				d.Note = "policy restructured"
-			}
-		}
-		out = append(out, d)
+		out = append(out, tl.DriftAt(i))
 	}
 	return out
+}
+
+// DriftAt compares the top summary of step i against step i+1's: stable
+// policies (same conditions, same constants) read as "policy held", same
+// conditions with new constants read as "rates changed", and different
+// conditions read as "policy restructured". It reads those two steps only.
+func (tl *Timeline) DriftAt(i int) Drift {
+	a, b := tl.Steps[i], tl.Steps[i+1]
+	d := Drift{StepA: i, StepB: i + 1}
+	switch {
+	case a.NoChange && b.NoChange:
+		d.SamePartitioning = true
+		d.Note = "no change in either step"
+	case a.NoChange != b.NoChange:
+		d.Note = "change activity toggled"
+	default:
+		sa, sb := a.Top(), b.Top()
+		// A change step can come back with nothing ranked (an engine run
+		// whose every candidate was filtered); without a summary there is
+		// no policy to compare, so say so instead of dereferencing nil.
+		if sa == nil || sb == nil {
+			d.Note = "no summary recovered"
+			break
+		}
+		d.SamePartitioning = samePartitioning(sa, sb)
+		switch {
+		case sa.Fingerprint() == sb.Fingerprint():
+			d.Note = "policy held exactly"
+		case d.SamePartitioning:
+			d.Note = "same partitions, constants changed"
+		default:
+			d.Note = "policy restructured"
+		}
+	}
+	return d
 }
 
 // samePartitioning compares condition fingerprints pairwise (order-free).

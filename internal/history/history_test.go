@@ -9,6 +9,9 @@ import (
 	"charles/internal/core"
 	"charles/internal/diff"
 	"charles/internal/gen"
+	"charles/internal/model"
+	"charles/internal/predicate"
+	"charles/internal/score"
 	"charles/internal/store"
 	"charles/internal/table"
 )
@@ -117,6 +120,51 @@ func TestDriftPolicyHeld(t *testing.T) {
 	}
 	if !drifts[0].SamePartitioning {
 		t.Errorf("partitioning should be stable across identical policy steps: %+v", drifts[0])
+	}
+}
+
+// TestDriftAtReachesEveryNote walks a hand-built timeline whose adjacent
+// steps reach every drift note through DriftAt, and requires Drifts to be
+// DriftAt of each adjacent pair in turn.
+func TestDriftAtReachesEveryNote(t *testing.T) {
+	summary := func(dept string, coef float64) []core.Ranked {
+		s := &model.Summary{Target: "pay", CTs: []model.CT{{
+			Cond: predicate.Predicate{Atoms: []predicate.Atom{predicate.StrAtom("dept", predicate.Eq, dept)}},
+			Tran: model.Transformation{Target: "pay", Inputs: []string{"pay"}, Coef: []float64{coef}},
+		}}}
+		return []core.Ranked{{Summary: s, Breakdown: &score.Breakdown{}}}
+	}
+	tl := &Timeline{Target: "pay"}
+	for i, ranked := range [][]core.Ranked{
+		summary("eng", 1.1), summary("eng", 1.1), summary("eng", 1.2), summary("ops", 1.2),
+		nil, nil, {}, {},
+	} {
+		tl.Steps = append(tl.Steps, Step{From: i, To: i + 1, Ranked: ranked, NoChange: i == 4 || i == 5})
+	}
+	want := []struct {
+		note string
+		same bool
+	}{
+		{"policy held exactly", true},
+		{"same partitions, constants changed", true},
+		{"policy restructured", false},
+		{"change activity toggled", false},
+		{"no change in either step", true},
+		{"change activity toggled", false},
+		{"no summary recovered", false},
+	}
+	drifts := tl.Drifts()
+	if len(drifts) != len(want) {
+		t.Fatalf("Drifts returned %d drifts, want %d", len(drifts), len(want))
+	}
+	for i, w := range want {
+		d := tl.DriftAt(i)
+		if d.StepA != i || d.StepB != i+1 || d.Note != w.note || d.SamePartitioning != w.same {
+			t.Errorf("DriftAt(%d) = %+v, want steps %d→%d, note %q, same partitioning %v", i, d, i, i+1, w.note, w.same)
+		}
+		if drifts[i] != d {
+			t.Errorf("Drifts()[%d] = %+v, DriftAt(%d) = %+v", i, drifts[i], i, d)
+		}
 	}
 }
 

@@ -44,8 +44,7 @@ func NewTimelineMaintainerContext(ctx context.Context, snapshots []*table.Table,
 }
 
 // newMaintainer is NewTimelineMaintainerContext with the seed walk's engine
-// runs routed through memo (see Walk). Steps appended later by Extend run
-// the engine directly.
+// runs routed through memo (see Walk).
 func newMaintainer(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
 	if len(snapshots) != len(ids) {
 		return nil, fmt.Errorf("history: %d snapshots but %d ids", len(snapshots), len(ids))
@@ -65,21 +64,23 @@ func newMaintainer(ctx context.Context, snapshots []*table.Table, ids []string, 
 
 // Advance brings m to the head of the lineage ids (version ids root → head,
 // at least 2) and reports whether it got there by extension. When m's head
-// is on ids, each later version is appended by ExtendFromSource — one
-// engine step apiece, run directly. Otherwise — m is nil, on another
-// branch, or a step will not extend (a schema change, say) — it seeds a new
-// maintainer over ids under base, its engine runs routed through memo. The
-// extension works on a fork, so m itself is never left half-extended. ctx
-// is checked before each extension step and bounds the seed walk.
+// is on ids, each later version is checked out and appended by one engine
+// step apiece. Otherwise — m is nil, on another branch, or a step will not
+// extend (a schema change, say) — it seeds a new maintainer over ids under
+// base. Either way every engine run goes through memo, as the step's
+// position in ids (step i is ids[i] → ids[i+1]). The extension works on a
+// fork, so m itself is never left half-extended. ctx is checked before each
+// extension step and bounds the seed walk.
 func Advance(ctx context.Context, m *TimelineMaintainer, st *store.Store, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, bool, error) {
 	if m != nil {
 		if at := slices.Index(ids, m.Head()); at >= 0 {
 			next, extended := m.Fork(), true
-			for _, id := range ids[at+1:] {
+			for i := at; i+1 < len(ids); i++ {
 				if err := ctx.Err(); err != nil {
 					return nil, false, err
 				}
-				if next.ExtendFromSource(st, id) != nil {
+				tgt, err := st.Checkout(ids[i+1])
+				if err != nil || next.extend(ids[i+1], tgt, i, memo) != nil {
 					extended = false
 					break
 				}
@@ -114,7 +115,13 @@ func (m *TimelineMaintainer) Versions() []string {
 // rejects) the maintainer is left unchanged so the caller can fall back to
 // a full rebuild over the new chain.
 func (m *TimelineMaintainer) Extend(id string, next *table.Table) error {
-	res, err := summarizeStep(len(m.results), m.last, next, "", m.base, nil)
+	return m.extend(id, next, len(m.results), nil)
+}
+
+// extend is Extend with the step's engine runs routed through memo as step
+// i (see Memo).
+func (m *TimelineMaintainer) extend(id string, next *table.Table, i int, memo Memo) error {
+	res, err := summarizeStep(i, m.last, next, "", m.base, memo)
 	if err != nil {
 		return fmt.Errorf("history: extend %s→%s: %w", m.Head(), id, err)
 	}
@@ -139,23 +146,6 @@ func (m *TimelineMaintainer) ExtendFromSource(st *store.Store, id string) error 
 // output is bit-identical to a from-scratch rebuild of the same chain.
 func (m *TimelineMaintainer) Timeline() *MultiTimeline {
 	return mergeSteps(m.first, "", m.results)
-}
-
-// TimelineAt assembles the MultiTimeline for a prefix of the maintained
-// chain ending at id, along with that prefix's version ids. It lets a
-// reader race a concurrent commit and still get a consistent answer for the
-// head it resolved. ok is false when id is not in the chain or is the root
-// (a single version has no timeline).
-func (m *TimelineMaintainer) TimelineAt(id string) (*MultiTimeline, []string, bool) {
-	for i, cur := range m.ids {
-		if cur == id {
-			if i == 0 {
-				return nil, nil, false
-			}
-			return mergeSteps(m.first, "", m.results[:i]), append([]string(nil), m.ids[:i+1]...), true
-		}
-	}
-	return nil, nil, false
 }
 
 // Fork returns an independent maintainer sharing the immutable per-step

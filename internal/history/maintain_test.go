@@ -160,40 +160,6 @@ func TestTimelineMaintainerDifferential(t *testing.T) {
 	}
 }
 
-// TestTimelineMaintainerPrefixAnswers pins TimelineAt: a prefix answer must
-// equal the rebuild of that prefix, the root has no timeline, and unknown
-// ids report !ok.
-func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
-	base := maintainBase()
-	_, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 7})
-	m, err := NewTimelineMaintainerContext(context.Background(), mats, ids, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 2; k <= len(ids); k++ {
-		got, gotIDs, ok := m.TimelineAt(ids[k-1])
-		if !ok {
-			t.Fatalf("TimelineAt(%s) not ok", ids[k-1])
-		}
-		if !reflect.DeepEqual(gotIDs, ids[:k]) {
-			t.Fatalf("TimelineAt(%s) ids = %v, want %v", ids[k-1], gotIDs, ids[:k])
-		}
-		want, err := walkAll(mats[:k], base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalTimelines(got, want) {
-			t.Fatalf("TimelineAt(%s) differs from rebuild of the %d-version prefix", ids[k-1], k)
-		}
-	}
-	if _, _, ok := m.TimelineAt(ids[0]); ok {
-		t.Error("root version reported a timeline")
-	}
-	if _, _, ok := m.TimelineAt("nope"); ok {
-		t.Error("unknown id reported a timeline")
-	}
-}
-
 // TestTimelineMaintainerSchemaChangeFallback pins the rebuild-fallback
 // contract: extending across a schema change fails, leaves the maintainer
 // unchanged, and a fresh maintainer over the new-schema suffix matches the
@@ -289,9 +255,9 @@ func TestTimelineMaintainerValidation(t *testing.T) {
 
 // TestAdvance pins the one rule that moves a maintainer to a new head: a
 // maintainer whose head is on the lineage is extended on a fork (the input
-// is untouched, the memo unused), any other is rebuilt with its engine runs
-// through the memo, and a step that will not extend never leaves a
-// half-extended maintainer behind.
+// is untouched), any other is rebuilt, both with every engine run through
+// the memo as its step's position in the lineage, and a step that will not
+// extend never leaves a half-extended maintainer behind.
 func TestAdvance(t *testing.T) {
 	ctx := context.Background()
 	base := maintainBase()
@@ -332,9 +298,10 @@ func TestAdvance(t *testing.T) {
 			t.Fatalf("advanced to %s: timeline differs from a walk of %v", m.Head(), ids)
 		}
 	}
-	memoRuns := 0
+	memoRuns, memoSteps := 0, map[int]bool{}
 	memo := func(i int, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
 		memoRuns++
+		memoSteps[i] = true
 		return run()
 	}
 
@@ -348,12 +315,16 @@ func TestAdvance(t *testing.T) {
 	matches(m, ids[:3])
 
 	runs := memoRuns
+	clear(memoSteps)
 	next, extended, err := Advance(ctx, m, st, ids, base, memo)
 	if err != nil || !extended {
 		t.Fatalf("head on the lineage: extended=%v err=%v, want an extension", extended, err)
 	}
-	if memoRuns != runs {
-		t.Errorf("extension ran %d engine steps through the memo, want 0", memoRuns-runs)
+	if memoRuns == runs {
+		t.Error("the extension bypassed the memo")
+	}
+	if want := map[int]bool{2: true, 3: true}; !reflect.DeepEqual(memoSteps, want) {
+		t.Errorf("extension ran engine steps %v through the memo, want the new steps' positions in ids %v", memoSteps, want)
 	}
 	if m.Head() != ids[2] || m.Steps() != 2 {
 		t.Fatalf("Advance modified its input: head=%s steps=%d", m.Head(), m.Steps())

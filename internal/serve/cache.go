@@ -6,9 +6,9 @@ package serve
 // computation), and executions counts the computations actually run — with
 // singleflight deduplication, N identical concurrent requests cost one
 // execution. An execution is whatever the cached value took: one engine run
-// for a summarize or timeline-step entry, a whole walk or
-// maintained-timeline assembly for a timeline answer (whose steps are
-// entries, and executions, of their own).
+// for a summarize or timeline-step entry, a whole walk for a walk's
+// timeline answer (whose steps are entries, and executions, of their own).
+// Live timeline answers are kept by their shard, not here.
 type Stats struct {
 	Hits       int64 `json:"hits"`
 	Misses     int64 `json:"misses"`

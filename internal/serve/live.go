@@ -1,16 +1,20 @@
 // Live timelines: the serve-side consumer of the store's commit
-// notifications. A liveRegistry keeps one liveShard per dataset; each shard
-// owns an incrementally maintained history.TimelineMaintainer (moved to each
-// new head by history.Advance: extended by one engine step per commit,
-// rebuilt from the chain when the incremental step cannot apply — schema
-// change, branch switch) plus a bounded ring of watch events fanned out to
-// /timeline/watch subscribers. Head-relative POST /timeline answers are
-// encoded from the maintainer's timeline, each step and drift entry once:
-// the shard keeps the entries of its last answer, so the next head's answer
-// encodes only its new step's (see liveShard.answer). The encoded answer is
-// memoized keyed by the head version id (see handleTimeline), so a warm
-// answer costs one cache lookup regardless of chain length — the "query
-// answering under updates" discipline applied end to end.
+// notifications. A liveRegistry keeps one liveShard per dataset, and the
+// shard is the one home of its dataset's live timeline state: an
+// incrementally maintained history.TimelineMaintainer (moved to each new
+// head by history.Advance: extended by one engine step per commit, rebuilt
+// from the chain when the incremental step cannot apply — schema change,
+// branch switch), the live answer at the maintainer's head with the encoded
+// entries it was built from, and a bounded ring of watch events fanned out
+// to /timeline/watch subscribers. Every engine run of an advance goes
+// through the result cache under the key POST /summarize uses, so the
+// commit pump's one step per commit also answers the new pair's summarize
+// questions. A head-relative POST /timeline is answered by the shard
+// itself (see liveShard.headAnswer): its kept answer when the maintainer
+// has not moved since, otherwise one encoded reusing every step and drift
+// entry of the last answer, so the next head costs only its new step's
+// entries — the "query answering under updates" discipline applied end to
+// end.
 
 package serve
 
@@ -21,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +114,7 @@ type liveShard struct {
 	events   []watchEvent                // ring of the last liveEventRing events
 	watchers map[*liveWatcher]struct{}
 	entries  map[entryKey][]byte // the encoded entries of the last live answer
+	kept     *timelineAnswer     // the live answer at maint's head; nil once maint moves
 }
 
 // liveRegistry maps dataset keys to their live shards, created on first
@@ -173,8 +179,10 @@ func (s *Server) onCommit(tenant, dataset string, v *store.Version) {
 // server-lifetime context and publishes the resulting watch event. The
 // returned maintenance mode is "extend" when the maintainer's head was on
 // v's lineage, "rebuild" when it was nil, on another branch, or a step
-// would not extend, and "skip" for root commits, heads a request already
-// absorbed, and advances that failed or were cancelled by BeginDrain.
+// would not extend, and "skip" for root commits, versions a request
+// already absorbed (v is on the maintainer's lineage, so the pump never
+// moves it back), and advances that failed or were cancelled by
+// BeginDrain.
 func (s *Server) applyCommit(sh *shardRef, ls *liveShard, v *store.Version) string {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -182,11 +190,11 @@ func (s *Server) applyCommit(sh *shardRef, ls *liveShard, v *store.Version) stri
 		return "skip" // already observed (seeded from the head after this commit)
 	}
 	mode := "skip" // kept when a request already absorbed v, or the advance fails
-	if ls.maint == nil || ls.maint.Head() != v.ID {
+	if ls.maint == nil || !slices.Contains(ls.maint.Versions(), v.ID) {
 		extended, err := s.advanceLocked(s.life, sh, ls, v.ID)
 		switch {
 		case err != nil:
-			ls.maint = nil
+			ls.maint, ls.kept = nil, nil
 		case extended:
 			mode = "extend"
 		default:
@@ -199,9 +207,11 @@ func (s *Server) applyCommit(sh *shardRef, ls *liveShard, v *store.Version) stri
 }
 
 // advanceLocked (caller holds ls.mu) moves the shard's maintainer to head
-// with history.Advance, a rebuild's engine runs memoized like any walk's
-// (see stepMemo), and reports whether it got there by extension. On error
-// the maintainer is left as it was.
+// with history.Advance and reports whether it got there by extension. Every
+// engine run, an extension's and a rebuild's alike, is memoized like any
+// walk's (see stepMemo), so the pair cache holds each new step. Moving the
+// maintainer drops the kept answer. On error the maintainer is left as it
+// was.
 func (s *Server) advanceLocked(ctx context.Context, sh *shardRef, ls *liveShard, head string) (bool, error) {
 	ids, err := lineageIDs(sh.st, head)
 	if err != nil {
@@ -211,7 +221,7 @@ func (s *Server) advanceLocked(ctx context.Context, sh *shardRef, ls *liveShard,
 	if err != nil {
 		return false, err
 	}
-	ls.maint = m
+	ls.maint, ls.kept = m, nil
 	return extended, nil
 }
 
@@ -225,17 +235,23 @@ func (ls *liveShard) publishLocked(v *store.Version, mode string) {
 		Seq: ls.seq, Head: v.ID, Parent: v.Parent, Version: v.Seq,
 		Mode: mode,
 	}
+	// The maintainer is past v when a request absorbed later commits
+	// first; the event describes the timeline as of v either way.
 	if ls.maint != nil {
-		mt := ls.maint.Timeline()
-		ev.Steps = mt.Steps
-		last := mt.Steps - 1
-		for _, attr := range mt.Attrs {
-			tl := mt.Timelines[attr]
-			tj := watchTargetJSON{Target: attr, NoChange: tl.Steps[last].NoChange}
-			if last > 0 {
-				tj.Drift = driftAt(tl, last-1).Note
+		if k := slices.Index(ls.maint.Versions(), v.ID); k > 0 {
+			mt := ls.maint.Timeline()
+			ev.Steps = k
+			for _, attr := range mt.Attrs {
+				tl := mt.Timelines[attr]
+				if !tl.ChangedBy(k) {
+					continue
+				}
+				tj := watchTargetJSON{Target: attr, NoChange: tl.Steps[k-1].NoChange}
+				if k > 1 {
+					tj.Drift = tl.DriftAt(k - 2).Note
+				}
+				ev.Targets = append(ev.Targets, tj)
 			}
-			ev.Targets = append(ev.Targets, tj)
 		}
 	}
 	ls.events = append(ls.events, ev)
@@ -423,40 +439,34 @@ func writeSSE(w io.Writer, event string, v any) error {
 	return err
 }
 
-// liveTimelineAt returns the maintained MultiTimeline for head, advancing
-// the shard's maintainer there when needed (see advanceLocked): a
-// maintainer a few commits behind on head's lineage is extended, any other
-// is rebuilt. A maintainer that has already advanced past head (a commit
-// raced the request) answers from its prefix, so the reader still gets a
-// consistent timeline for the head it resolved.
-func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, error) {
+// headAnswer answers the head-relative all-defaults POST /timeline: the
+// live timeline at the store's head, read under the shard lock, so the
+// maintainer never answers for a head other than the one read. The
+// maintainer is advanced there when needed (see advanceLocked). The answer
+// kept for that head is returned with cached true; failing that, one is
+// encoded reusing the entries of the last answer (see
+// encodeTimelineAnswer) and kept in its place, its entries with it. Since
+// the kept answer is dropped whenever the maintainer moves, a shard holds
+// one answer and one answer's entries at most.
+func (ls *liveShard) headAnswer(ctx context.Context, s *Server, sh *shardRef) (*timelineAnswer, bool, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if ls.maint != nil {
-		if mt, ids, ok := ls.maint.TimelineAt(head); ok {
-			return mt, ids, nil
+	hv, err := sh.st.Head()
+	if err != nil {
+		return nil, false, err
+	}
+	if ls.maint == nil || ls.maint.Head() != hv.ID {
+		if _, err := s.advanceLocked(ctx, sh, ls, hv.ID); err != nil {
+			return nil, false, err
 		}
 	}
-	if _, err := s.advanceLocked(ctx, sh, ls, head); err != nil {
-		return nil, nil, err
+	if ls.kept != nil {
+		return ls.kept, true, nil
 	}
-	if ls.head == "" {
-		ls.head = head
-	}
-	return ls.maint.Timeline(), ls.maint.Versions(), nil
-}
-
-// answer encodes the live answer for head from mt over ids (see
-// encodeTimelineAnswer), reusing the entries of the shard's last answer and
-// keeping this answer's in their place. The kept entries therefore follow
-// one lineage and never outnumber one answer's.
-func (ls *liveShard) answer(head string, ids []string, mt *history.MultiTimeline) (*timelineAnswer, error) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ans, entries, err := encodeTimelineAnswer(head, ids, true, mt, ls.entries)
+	ans, entries, err := encodeTimelineAnswer(hv.ID, ls.maint.Versions(), true, ls.maint.Timeline(), ls.entries)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	ls.entries = entries
-	return ans, nil
+	ls.kept, ls.entries = ans, entries
+	return ans, false, nil
 }

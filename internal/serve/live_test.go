@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -322,8 +323,8 @@ func TestLiveTimelineFollowsCommits(t *testing.T) {
 	if tr3.Head != v.ID || tr3.Steps != 4 || !tr3.Live {
 		t.Fatalf("post-commit answer head %q steps %d live %v, want %q/4/true", tr3.Head, tr3.Steps, tr3.Live, v.ID)
 	}
-	// One fill for the new head's whole-response memo, one for the single
-	// new step's seeded pair entry; every older step is already resident.
+	// The pump's extension already filled the new step's pair entries and
+	// the live shard keeps the answer itself, so the bound holds with room.
 	if got := srv.Stats().Executions - execBefore; got > 2 {
 		t.Errorf("post-commit warm answer cost %d cache fills, want ≤2 (memo + new step)", got)
 	}
@@ -598,7 +599,7 @@ func TestLivePumpRebuildStopsAtDrain(t *testing.T) {
 }
 
 // TestLiveRequestOneCommitBehindExtends: a live answer whose maintainer is
-// one commit behind the requested head (a shard the pump does not maintain)
+// one commit behind the store's head (a shard the pump does not maintain)
 // extends it by the one new pair instead of re-walking the lineage — even
 // when the result cache is too small to remember the lineage's steps.
 func TestLiveRequestOneCommitBehindExtends(t *testing.T) {
@@ -611,16 +612,21 @@ func TestLiveRequestOneCommitBehindExtends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := commitSnaps(t, st, snaps)
+	k := len(snaps) - 2
+	ids := commitSnaps(t, st, snaps[:k+1])
 	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
 	ls := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
 	ctx := context.Background()
-	k := len(ids) - 2
-	if _, _, err := srv.liveTimelineAt(ctx, sh, ls, ids[k]); err != nil {
+	if _, _, err := ls.headAnswer(ctx, srv, sh); err != nil {
 		t.Fatal(err)
 	}
+	v, err := st.Commit(snaps[k+1], ids[k], "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, v.ID)
 	caches, indexes := core.AccelBuilds()
-	mt, got, err := srv.liveTimelineAt(ctx, sh, ls, ids[k+1])
+	ans, _, err := ls.headAnswer(ctx, srv, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +634,160 @@ func TestLiveRequestOneCommitBehindExtends(t *testing.T) {
 	if c-caches != 1 || i-indexes != 1 {
 		t.Errorf("head k → k+1 built %d atom caches and %d split indexes, want 1 and 1", c-caches, i-indexes)
 	}
-	if mt.Steps != k+1 || !slices.Equal(got, ids) {
-		t.Errorf("answer steps %d versions %v, want %d over %v", mt.Steps, got, k+1, ids)
+	var tr timelineResponse
+	if err := json.Unmarshal([]byte(answerBytes(t, ans, false)), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Steps != k+1 || !slices.Equal(tr.Versions, ids) {
+		t.Errorf("answer steps %d versions %v, want %d over %v", tr.Steps, tr.Versions, k+1, ids)
+	}
+}
+
+// TestLivePumpSkipsAbsorbedCommit: a commit the pump reaches only after a
+// live request took the maintainer past it is a skip. The maintainer is not
+// moved back and keeps its answer, and the commit's watch event describes
+// the timeline as of that commit, as the event of a pump on time does.
+func TestLivePumpSkipsAbsorbedCommit(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, 0)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps)
+	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
+	ahead := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
+	if _, _, err := ahead.headAnswer(context.Background(), srv, sh); err != nil {
+		t.Fatal(err)
+	}
+	kept := ahead.kept
+	onTime := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
+	apply := func(ls *liveShard, id string) string {
+		t.Helper()
+		v, err := st.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.applyCommit(sh, ls, v)
+	}
+	apply(onTime, ids[1])
+	apply(onTime, ids[2])
+	mode := apply(ahead, ids[2])
+	if mode != "skip" || ahead.maint.Head() != ids[3] || ahead.kept != kept {
+		t.Errorf("absorbed commit: mode %q, maintainer at %s, answer kept %v; want a skip at %s keeping the answer",
+			mode, ahead.maint.Head(), ahead.kept == kept, ids[3])
+	}
+	got, want := ahead.events[0], onTime.events[1]
+	if got.Head != ids[2] || got.Steps != want.Steps || !reflect.DeepEqual(got.Targets, want.Targets) {
+		t.Errorf("absorbed commit's event %+v, want head %s and the on-time event's steps and targets %+v", got, ids[2], want)
+	}
+}
+
+// TestLivePumpExtensionFillsPairCache: the commit pump's one engine step
+// per commit goes through the result cache under POST /summarize's key, so
+// after the pump extends a live shard, summarizing the new pair is a hit
+// for every changed target — with no live request in between, and no
+// result-cache execution.
+func TestLivePumpExtensionFillsPairCache(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, 0)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps[:4])
+	waitMetric(t, ts.URL, "charles_commit_notifications_total", defShard, 4)
+	if resp, body := postJSON(t, ts.URL+"/timeline", timelineRequest{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live timeline status %d: %s", resp.StatusCode, body)
+	}
+	v, err := st.Commit(snaps[4], ids[3], "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, ts.URL, "charles_timeline_maintenance_total",
+		map[string]string{"shard": defShard["shard"], "mode": "extend"}, 1)
+
+	a, _, err := st.DiffResult(ids[3], v.ID, core.ChangeTol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := st.Checkout(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := srv.Stats().Executions
+	asked := 0
+	for _, attr := range a.ChangedAttrs {
+		if !head.MustColumn(attr).Type.Numeric() {
+			continue
+		}
+		asked++
+		resp, body := postJSON(t, ts.URL+"/summarize", summarizeRequest{From: ids[3], To: v.ID, Target: attr})
+		var sr summarizeResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sr) != nil || !sr.Cached {
+			t.Errorf("summarize of the pumped pair for %s: status %d cached=%v: %s", attr, resp.StatusCode, sr.Cached, body)
+		}
+	}
+	if asked < 2 {
+		t.Fatalf("the new pair changed %d numeric targets, want several", asked)
+	}
+	if got := srv.Stats().Executions - exec; got != 0 {
+		t.Errorf("summarizing the pumped pair ran %d result-cache executions, want 0", got)
+	}
+}
+
+// TestLiveAnswerBypassesResultCache: the live answer is the shard's, not
+// the result cache's. At a head the pump already reached, it adds no
+// result-cache entry and runs no fill, and a repeat is the shard's kept
+// answer, marked cached.
+func TestLiveAnswerBypassesResultCache(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, 0)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	snaps, err := gen.Chain(gen.ChainConfig{N: 30, Steps: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitSnaps(t, st, snaps[:4])
+	waitMetric(t, ts.URL, "charles_commit_notifications_total", defShard, 4)
+	live := func() timelineResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/timeline", timelineRequest{})
+		var tr timelineResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &tr) != nil || !tr.Live {
+			t.Fatalf("live timeline status %d: %s", resp.StatusCode, body)
+		}
+		return tr
+	}
+	live()
+	v, err := st.Commit(snaps[4], ids[3], "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, ts.URL, "charles_timeline_maintenance_total",
+		map[string]string{"shard": defShard["shard"], "mode": "extend"}, 1)
+
+	before := srv.Stats()
+	if tr := live(); tr.Head != v.ID || tr.Steps != 4 || tr.Cached {
+		t.Errorf("first answer at the pumped head: head %s steps %d cached %v, want %s/4/false", tr.Head, tr.Steps, tr.Cached, v.ID)
+	}
+	if after := srv.Stats(); after.Entries != before.Entries || after.Executions != before.Executions {
+		t.Errorf("the live answer changed the result cache: entries %d → %d, executions %d → %d",
+			before.Entries, after.Entries, before.Executions, after.Executions)
+	}
+	if tr := live(); !tr.Cached || tr.Head != v.ID {
+		t.Errorf("repeat live answer head %s cached %v, want %s from the shard", tr.Head, tr.Cached, v.ID)
 	}
 }

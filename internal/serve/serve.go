@@ -26,8 +26,8 @@
 //	POST .../summarize              {from, to, target, alpha?, c?, t?, topk?}
 //	POST .../timeline               {head?, target?, alpha?, c?, t?, topk?} — walk
 //	                                the lineage root→head and summarize every step
-//	                                (head-relative defaults answered live from the
-//	                                commit-maintained timeline, memoized per head)
+//	                                (head-relative defaults answered live by the
+//	                                dataset's shard from its maintained timeline)
 //	GET  .../timeline/watch         subscribe to live timeline updates — an SSE
 //	                                stream of per-commit step events, or one
 //	                                long-poll cycle with ?since=<version>
@@ -114,7 +114,7 @@ type Config struct {
 // collapsed by the cache (keyed per shard).
 type Server struct {
 	hub   *store.Hub
-	cache *store.Cache[any] // engine results and timeline answers, entry-bounded
+	cache *store.Cache[any] // engine results and walk answers, entry-bounded
 	mux   *http.ServeMux
 	cfg   Config
 
@@ -689,16 +689,40 @@ func (s *Server) handleChanges(sh *shardRef, w http.ResponseWriter, r *http.Requ
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// summarizeRequest is the POST .../summarize body. Omitted tuning fields
-// take the engine defaults (c=3, t=2, α=0.5, top-10).
+// tuning is the engine tuning a POST .../summarize or POST .../timeline
+// body may carry. An omitted field keeps the engine default (c=3, t=2,
+// α=0.5, top-10).
+type tuning struct {
+	Alpha *float64 `json:"alpha,omitempty"`
+	C     *int     `json:"c,omitempty"`
+	T     *int     `json:"t,omitempty"`
+	TopK  *int     `json:"topk,omitempty"`
+}
+
+// options returns the engine defaults for target with the tuning applied.
+func (tu tuning) options(target string) core.Options {
+	opts := core.DefaultOptions(target)
+	if tu.Alpha != nil {
+		opts.Alpha = *tu.Alpha
+	}
+	if tu.C != nil {
+		opts.C = *tu.C
+	}
+	if tu.T != nil {
+		opts.T = *tu.T
+	}
+	if tu.TopK != nil {
+		opts.TopK = *tu.TopK
+	}
+	return opts
+}
+
+// summarizeRequest is the POST .../summarize body.
 type summarizeRequest struct {
-	From   string   `json:"from"`
-	To     string   `json:"to"`
-	Target string   `json:"target"`
-	Alpha  *float64 `json:"alpha,omitempty"`
-	C      *int     `json:"c,omitempty"`
-	T      *int     `json:"t,omitempty"`
-	TopK   *int     `json:"topk,omitempty"`
+	From   string `json:"from"`
+	To     string `json:"to"`
+	Target string `json:"target"`
+	tuning
 }
 
 // summarizeResponse is the POST .../summarize body.
@@ -731,19 +755,7 @@ func (s *Server) handleSummarize(sh *shardRef, w http.ResponseWriter, r *http.Re
 		writeError(w, err)
 		return
 	}
-	opts := core.DefaultOptions(req.Target)
-	if req.Alpha != nil {
-		opts.Alpha = *req.Alpha
-	}
-	if req.C != nil {
-		opts.C = *req.C
-	}
-	if req.T != nil {
-		opts.T = *req.T
-	}
-	if req.TopK != nil {
-		opts.TopK = *req.TopK
-	}
+	opts := req.options(req.Target)
 	fp := opts.Fingerprint()
 	ctx := r.Context()
 	val, hit, err := s.cache.Do(sh.stepKey(req.From, req.To, fp), func() (any, error) {

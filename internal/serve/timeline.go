@@ -16,14 +16,11 @@ import (
 
 // timelineRequest is the POST /timeline body. Head defaults to the most
 // recently committed version; with no Target every changed numeric attribute
-// of every step is summarized. Tuning fields mirror POST /summarize.
+// of every step is summarized. The tuning is POST /summarize's.
 type timelineRequest struct {
-	Head   string   `json:"head,omitempty"`
-	Target string   `json:"target,omitempty"`
-	Alpha  *float64 `json:"alpha,omitempty"`
-	C      *int     `json:"c,omitempty"`
-	T      *int     `json:"t,omitempty"`
-	TopK   *int     `json:"topk,omitempty"`
+	Head   string `json:"head,omitempty"`
+	Target string `json:"target,omitempty"`
+	tuning
 }
 
 // timelineStepJSON is one consecutive version pair of one target's timeline.
@@ -44,16 +41,14 @@ type driftJSON struct {
 
 // handleTimeline answers POST /timeline for the lineage ending at head. The
 // head-relative all-defaults question — "what does the timeline at the
-// current head look like?" — is read from the shard's maintained timeline;
-// every other question runs history.Walk over the materialized lineage, with
-// each (step, target) engine run memoized in the result LRU under the key
-// POST /summarize uses, so walks and pair questions warm each other. Both
-// kinds are encoded by encodeTimelineAnswer; a live answer reuses every
-// step and drift entry the shard's previous answer encoded, so the next
-// head costs only its new step's entries. Either way the encoded answer is
-// memoized too — per head for live answers, per (head, options
-// fingerprint) for walks, the fingerprint covering the target — so a warm
-// repeat is one cache lookup and a write of the stored bytes.
+// current head look like?" — is the live shard's to answer (see
+// liveShard.headAnswer). Every other question runs history.Walk over the
+// materialized lineage, with each (step, target) engine run memoized in the
+// result LRU under the key POST /summarize uses, so walks, pair questions
+// and the commit pump warm each other. The walk's answer, encoded by
+// encodeTimelineAnswer like a live one, is memoized per (head, options
+// fingerprint), the fingerprint covering the target, so a warm repeat is
+// one cache lookup and a write of the stored bytes.
 func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	var req timelineRequest
 	// Every field is optional, so an absent body is the all-defaults
@@ -62,8 +57,16 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		writeError(w, err)
 		return
 	}
-	live := req.Head == "" && req.Target == "" &&
-		req.Alpha == nil && req.C == nil && req.T == nil && req.TopK == nil
+	ctx := r.Context()
+	if req == (timelineRequest{}) {
+		ans, cached, err := s.liveShardFor(sh).headAnswer(ctx, s, sh)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		ans.write(w, cached)
+		return
+	}
 	head := req.Head
 	if head == "" {
 		hv, err := sh.st.Head()
@@ -73,42 +76,10 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		}
 		head = hv.ID
 	}
-	opts := core.DefaultOptions(req.Target)
-	if req.Alpha != nil {
-		opts.Alpha = *req.Alpha
-	}
-	if req.C != nil {
-		opts.C = *req.C
-	}
-	if req.T != nil {
-		opts.T = *req.T
-	}
-	if req.TopK != nil {
-		opts.TopK = *req.TopK
-	}
-	// Live answers differ from walk answers in their Live flag, so the two
-	// are memoized apart even for the same head and options.
-	key := sh.cacheKeyPrefix() + "timeline|" + head
-	var ls *liveShard
-	if live {
-		ls = s.liveShardFor(sh)
-	} else {
-		key += "|" + opts.Fingerprint()
-	}
-	ctx := r.Context()
-	val, hit, err := s.cache.Do(key, func() (any, error) {
+	opts := req.options(req.Target)
+	val, hit, err := s.cache.Do(sh.cacheKeyPrefix()+"timeline|"+head+"|"+opts.Fingerprint(), func() (any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		if live {
-			mt, ids, err := s.liveTimelineAt(ctx, sh, ls, head)
-			if err != nil {
-				return nil, err
-			}
-			// Seed the pair LRU with the steps the commit pump appended
-			// outside any request.
-			s.seedStepCache(sh, ids, mt)
-			return ls.answer(head, ids, mt)
 		}
 		ids, mats, err := materializeLineage(ctx, sh.st, head)
 		if err != nil {
@@ -181,22 +152,6 @@ func (s *Server) stepMemo(ctx context.Context, sh *shardRef, ids []string) histo
 	}
 }
 
-// seedStepCache inserts a timeline's per-step rankings into the result LRU
-// under their stepKeys. Do is a hit for already-present keys, so repeated
-// seeding is cheap and never recomputes.
-func (s *Server) seedStepCache(sh *shardRef, ids []string, mt *history.MultiTimeline) {
-	for _, attr := range mt.Attrs {
-		fp := core.DefaultOptions(attr).Fingerprint()
-		for _, hs := range mt.Timelines[attr].Steps {
-			if len(hs.Ranked) == 0 {
-				continue
-			}
-			ranked := hs.Ranked
-			_, _, _ = s.cache.Do(sh.stepKey(ids[hs.From], ids[hs.To], fp), func() (any, error) { return ranked, nil })
-		}
-	}
-}
-
 // timelineEnvelope is the part of a timeline answer marshalled per answer:
 // the fields before "cached". Live reports the answer was assembled from
 // the commit-maintained timeline (head-relative all-default requests; see
@@ -218,8 +173,9 @@ type timelineEnvelope struct {
 //	 "skipped"?: {attribute: reason}}
 //
 // indented two spaces a level and ending in a newline, as writeJSON
-// writes. "cached" reports the answer was served whole from the memo for
-// the same question, so write splices it in.
+// writes. "cached" reports the answer was served whole as kept for the same
+// question (by the result cache for a walk, by the live shard for a live
+// answer), so write splices it in.
 type timelineAnswer struct {
 	envelope []byte   // "{" through the last envelope field and its ",\n"
 	parts    [][]byte // "targets" through the closing "}\n"
@@ -336,7 +292,7 @@ func encodeTimelineAnswer(head string, ids []string, live bool, mt *history.Mult
 			}
 			a, b := tl.Steps[j], tl.Steps[j+1]
 			err := entry(entryKey{attr, [3]string{ids[a.From], ids[a.To], ids[b.To]}}, func() any {
-				d := driftAt(tl, j)
+				d := tl.DriftAt(j)
 				return driftJSON{StepA: d.StepA, StepB: d.StepB, SamePartitioning: d.SamePartitioning, Note: d.Note}
 			})
 			if err != nil {
@@ -360,13 +316,4 @@ func encodeTimelineAnswer(head string, ids []string, live bool, mt *history.Mult
 	}
 	ans.parts = append(ans.parts, answerClose)
 	return ans, used, nil
-}
-
-// driftAt is tl.Drifts()[j] without comparing every other pair of steps: a
-// drift compares two adjacent steps only, so it is the one drift of the
-// two-step timeline that steps j and j+1 form, renumbered.
-func driftAt(tl *history.Timeline, j int) history.Drift {
-	d := (&history.Timeline{Target: tl.Target, Steps: tl.Steps[j : j+2]}).Drifts()[0]
-	d.StepA, d.StepB = j, j+1
-	return d
 }

@@ -8,9 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"charles/internal/core"
@@ -297,25 +297,26 @@ func TestLiveAnswerReusesEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := commitSnaps(t, st, snaps)
+	k := len(snaps) - 2
+	ids := commitSnaps(t, st, snaps[:k+1])
 	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
 	ls := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
-	answerAt := func(head string) (*timelineAnswer, *history.MultiTimeline, []string) {
+	answer := func() *timelineAnswer {
 		t.Helper()
-		mt, at, err := srv.liveTimelineAt(context.Background(), sh, ls, head)
+		ans, _, err := ls.headAnswer(context.Background(), srv, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := ls.answer(head, at, mt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans, mt, at
+		return ans
 	}
-	k := len(ids) - 2
-	answerAt(ids[k])
+	answer()
 	before := ls.entries
-	ans, mt, at := answerAt(ids[k+1])
+	v, err := st.Commit(snaps[k+1], ids[k], "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := answer()
+	mt, at := ls.maint.Timeline(), ls.maint.Versions()
 
 	written := map[*byte]bool{}
 	for _, p := range ans.parts {
@@ -326,7 +327,7 @@ func TestLiveAnswerReusesEntries(t *testing.T) {
 			t.Errorf("entry %v of head k was not reused by head k+1", key)
 		}
 	}
-	head := ids[k+1]
+	head := v.ID
 	var steps, drifts int
 	for key := range ls.entries {
 		if _, ok := before[key]; ok {
@@ -354,10 +355,11 @@ func TestLiveAnswerReusesEntries(t *testing.T) {
 	}
 }
 
-// TestLiveAnswerConcurrentHeads builds the live answers of two adjacent
-// heads from four goroutines at once, so builds on each other's kept
-// entries interleave. Under -race it pins that the shard's entries are
-// shared safely, and every answer equals the struct encoder's for its head
+// TestLiveAnswerConcurrentHeads answers live from four goroutines at once
+// on one shard while the next head is committed, so answers at the old
+// head, the advance to the new one and answers built on its kept entries
+// interleave. Under -race it pins that the shard's state is shared safely,
+// and every answer equals the struct encoder's for one of the two heads
 // byte for byte.
 func TestLiveAnswerConcurrentHeads(t *testing.T) {
 	st, err := store.Open("")
@@ -369,53 +371,83 @@ func TestLiveAnswerConcurrentHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := commitSnaps(t, st, snaps)
-	mats, err := history.MaterializeChainContext(context.Background(), st, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads := ids[len(ids)-2:]
-	want := map[string]string{}
-	for _, head := range heads {
-		k := slices.Index(ids, head)
-		mt, err := history.Walk(context.Background(), mats[:k+1], "", core.DefaultOptions(""), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want[head], err = oracleAnswer(head, ids[:k+1], true, false, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ids := commitSnaps(t, st, snaps[:len(snaps)-1])
 
 	sh := &shardRef{tenant: DefaultDatasetName, dataset: DefaultDatasetName, st: st}
 	ls := &liveShard{key: "unregistered", watchers: map[*liveWatcher]struct{}{}}
-	var wg sync.WaitGroup
+	var (
+		mu       sync.Mutex
+		answers  = map[string]bool{} // each distinct answer body
+		second   atomic.Value        // the second head's id, once committed
+		started  = make(chan struct{})
+		startOne sync.Once
+		stop     = make(chan struct{})
+		wg       sync.WaitGroup
+	)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				head := heads[(g+i)%2]
-				mt, at, err := srv.liveTimelineAt(context.Background(), sh, ls, head)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ans, err := ls.answer(head, at, mt)
+			defer startOne.Do(func() { close(started) })
+			// Each goroutine answers at least ten times and until it has
+			// answered at the second head.
+			for i := 0; ; i++ {
+				ans, _, err := ls.headAnswer(context.Background(), srv, sh)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				rec := httptest.NewRecorder()
 				ans.write(rec, false)
-				if got := rec.Body.String(); got != want[head] {
-					t.Errorf("answer at %s differs from the struct encoder's\n got %s\nwant %s", head, got, want[head])
+				body := rec.Body.String()
+				mu.Lock()
+				answers[body] = true
+				mu.Unlock()
+				startOne.Do(func() { close(started) })
+				h, _ := second.Load().(string)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i >= 9 && h != "" && strings.Contains(body, `"head": "`+h+`"`) {
 					return
 				}
 			}
 		}()
 	}
+	<-started
+	v, err := st.Commit(snaps[len(snaps)-1], ids[len(ids)-1], "live")
+	if err != nil {
+		close(stop)
+		wg.Wait()
+		t.Fatal(err)
+	}
+	second.Store(v.ID)
 	wg.Wait()
+
+	ids = append(ids, v.ID)
+	mats, err := history.MaterializeChainContext(context.Background(), st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for k := len(ids) - 2; k < len(ids); k++ {
+		mt, err := history.Walk(context.Background(), mats[:k+1], "", core.DefaultOptions(""), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := oracleAnswer(ids[k], ids[:k+1], true, false, mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[w] = true
+	}
+	for got := range answers {
+		if !want[got] {
+			t.Fatalf("an answer differs from the struct encoder's at both heads:\n%s", got)
+		}
+	}
 }
 
 // discardWriter is an http.ResponseWriter that keeps nothing.
@@ -439,15 +471,25 @@ func BenchmarkTimelineAnswer(b *testing.B) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%012x", i)
 	}
-	m, err := history.NewTimelineMaintainerContext(context.Background(), snaps, ids, core.DefaultOptions(""))
+	m, err := history.NewTimelineMaintainerContext(context.Background(), snaps[:2], ids[:2], core.DefaultOptions(""))
 	if err != nil {
 		b.Fatal(err)
+	}
+	// extendTo extends m until its head is ids[n] and returns its timeline
+	// and versions there.
+	extendTo := func(n int) (*history.MultiTimeline, []string) {
+		for m.Steps() < n {
+			if err := m.Extend(ids[m.Steps()+1], snaps[m.Steps()+1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return m.Timeline(), m.Versions()
 	}
 	w := discardWriter{h: http.Header{}}
 	for _, n := range []int{80, 156} {
 		head := ids[n]
-		mt, at, _ := m.TimelineAt(head)
-		prevMT, prevIDs, _ := m.TimelineAt(ids[n-1])
+		prevMT, prevIDs := extendTo(n - 1)
+		mt, at := extendTo(n)
 		_, prev, err := encodeTimelineAnswer(ids[n-1], prevIDs, true, prevMT, nil)
 		if err != nil {
 			b.Fatal(err)

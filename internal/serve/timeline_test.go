@@ -154,6 +154,12 @@ func TestTimelineValidation(t *testing.T) {
 		t.Errorf("empty store status = %d, want 404", resp.StatusCode)
 	}
 
+	// A misspelled tuning field is a bad body, not the live request.
+	resp, body := postJSON(t, ts.URL+"/timeline", map[string]any{"alpah": 0.7})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
+		t.Errorf("unknown field status = %d: %s, want 400", resp.StatusCode, body)
+	}
+
 	// Unknown head id.
 	resp, _ = postJSON(t, ts.URL+"/timeline", timelineRequest{Head: "nope"})
 	if resp.StatusCode != http.StatusNotFound {
@@ -166,7 +172,7 @@ func TestTimelineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitChain(t, ts.URL, snaps[:1])
-	resp, body := postJSON(t, ts.URL+"/timeline", timelineRequest{})
+	resp, body = postJSON(t, ts.URL+"/timeline", timelineRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("single-version status = %d: %s", resp.StatusCode, body)
 	}

@@ -156,7 +156,7 @@ func TestTimelineWalkMemo(t *testing.T) {
 	}
 
 	exec := srv.Stats().Executions
-	resp, body := postJSON(t, ts.URL+"/timeline", timelineRequest{Head: v[3].ID, Target: "salary", Alpha: &alpha})
+	resp, body := postJSON(t, ts.URL+"/timeline", timelineRequest{Head: v[3].ID, Target: "salary", tuning: tuning{Alpha: &alpha}})
 	var tr timelineResponse
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &tr) != nil || !tr.Cached {
 		t.Fatalf("warm repeat status %d cached=%v: %s", resp.StatusCode, tr.Cached, body)

@@ -1,10 +1,6 @@
 package charles
 
-import (
-	"io"
-
-	"charles/internal/csvio"
-)
+import "charles/internal/csvio"
 
 // LoadCSV reads a CSV file into a table with automatic type inference
 // (currency and percent decorations are handled) and declares the given
@@ -13,17 +9,7 @@ func LoadCSV(path string, key ...string) (*Table, error) {
 	return csvio.ReadFile(path, csvio.Options{Key: key})
 }
 
-// ReadCSV is LoadCSV over an io.Reader.
-func ReadCSV(r io.Reader, key ...string) (*Table, error) {
-	return csvio.Read(r, csvio.Options{Key: key})
-}
-
 // SaveCSV writes a table to a CSV file with a header row.
 func SaveCSV(path string, t *Table) error {
 	return csvio.WriteFile(path, t)
-}
-
-// WriteCSV writes a table to w as CSV.
-func WriteCSV(w io.Writer, t *Table) error {
-	return csvio.Write(w, t)
 }
